@@ -60,11 +60,10 @@ def main():
     print(f"second perturbation: mu threshold = {mu:.6f}")
 
     print("\n-- a quick sweep --")
-    rows = ek.sweep(3, 1, [0.1 * i for i in range(1, 10)], [0.0, 0.1], [0.0])
-    detected = sum(r.detected for r in rows)
-    print(f"{len(rows)} grid points, {detected} detected")
+    table = ek.sweep(3, 1, [0.1 * i for i in range(1, 10)], [0.0, 0.1], [0.0])
+    print(f"{len(table)} grid points, {table.detected.sum()} detected")
     print("first rows of the CSV form:")
-    print("\n".join(ek.sweep_to_csv(rows).split("\n")[:5]))
+    print("\n".join(ek.sweep_to_csv(table).split("\n")[:5]))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import (
+    DETECTION_TOL,
     HermitianOp,
     PSD_RTOL,
     TensorSpace,
@@ -25,9 +26,6 @@ from .core import (
     partial_transpose,
     trace_pair,
 )
-
-#: A pairing above this value does not certify detection.
-DETECTION_TOL = -1e-12
 
 #: Product-state values below this cutoff count as genuine block-positivity
 #: violations rather than round-off.

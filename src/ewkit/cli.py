@@ -32,9 +32,8 @@ from .construct import (
     projector_q,
     witness_dk,
 )
-from .core import HermitianOp, trace_pair
+from .core import DETECTION_TOL, HermitianOp, trace_pair
 from .detect import (
-    DETECTION_TOL,
     alpha_threshold,
     lambda_threshold,
     mu_threshold,
@@ -164,14 +163,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = sweep(
+    table = sweep(
         args.d,
         args.k,
         parse_grid(args.gamma_grid),
         parse_grid(args.lambda_grid),
         parse_grid(args.mu_grid),
     )
-    write_sweep_csv(args.out, rows)
+    write_sweep_csv(args.out, table)
     return 0
 
 

@@ -226,19 +226,13 @@ def ha_state(d: int, gamma: float) -> HermitianOp:
     """
     params = StateFamilyParams(d, gamma)
     a, b, n = params.a_gamma, params.b_gamma, params.n_gamma
-    base = np.zeros(d, dtype=complex)
-    base[0] = 1.0
-    base[1] = a
-    base[2 : d - 1] = 1.0
-    base[d - 1] = b
+    base = np.ones(d, dtype=complex)
+    base[1], base[d - 1] = a, b
     rho = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                block = np.diag(np.roll(base, i))
-            else:
-                block = matrix_unit(d, i, j)
-            rho[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
+    comb = np.arange(d) * (d + 1)  # composite index of e_i x e_i
+    rho[comb[:, None], comb] = 1.0
+    idx = np.arange(d * d)  # e_i x e_m on the diagonal carries base[(m - i) mod d]
+    rho[idx, idx] = base[(idx % d - idx // d) % d]
     return HermitianOp(bipartite(d), rho / n)
 
 

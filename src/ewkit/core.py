@@ -23,6 +23,9 @@ PSD_RTOL = 1e-10
 #: Largest tolerated imaginary part of Tr(W rho) for Hermitian W, rho.
 TRACE_IMAG_TOL = 1e-10
 
+#: Tr(W rho) counts as detection only below this value; every layer uses it.
+DETECTION_TOL = -1e-12
+
 #: Which local factors to transpose: one boolean per subsystem.
 SigmaVector = tuple[bool, ...]
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .construct import (
     ha_state,
     maximally_mixed,
@@ -22,10 +24,14 @@ from .construct import (
     projector_q,
     witness_dk,
 )
-from .core import HermitianOp, TensorSpace, is_psd, partial_transpose, trace_pair
-
-#: A trace above this value does not count as detection (matches certificates).
-DETECTION_TOL = -1e-12
+from .core import (
+    DETECTION_TOL,
+    HermitianOp,
+    TensorSpace,
+    is_psd,
+    partial_transpose,
+    trace_pair,
+)
 
 #: Absolute floor below which a denominator trace counts as zero.
 TOLERANCE_ZERO = 1e-12
@@ -230,15 +236,22 @@ def _last_factor_sigma(space: TensorSpace) -> tuple[bool, ...]:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One grid point of a detection sweep; detected mirrors the trace sign."""
+class SweepTable:
+    """A detection sweep as columns over the (gamma, lambda, mu) grids.
 
-    gamma: float | None
-    lam: float | None
-    mu: float | None
-    alpha: float | None
-    trace_value: float
-    detected: bool
+    trace[g, l, m] = Tr((W0 + lambda_l P + mu_m Q) rho_gamma_g) and detected
+    marks trace < DETECTION_TOL. One row per grid point, gamma outer, lambda
+    middle, mu inner.
+    """
+
+    gammas: tuple[float, ...]
+    lams: tuple[float, ...]
+    mus: tuple[float, ...]
+    trace: np.ndarray
+    detected: np.ndarray
+
+    def __len__(self) -> int:
+        return self.trace.size
 
 
 def sweep(
@@ -247,36 +260,28 @@ def sweep(
     gamma_grid: list[float],
     lambda_grid: list[float],
     mu_grid: list[float],
-) -> list[SweepRow]:
+) -> SweepTable:
     """Tabulate Tr((W0 + lambda P + mu Q) rho_gamma) over the grids.
 
-    Row order is deterministic: gamma outer, lambda middle, mu inner. The
-    pairing is affine in (lambda, mu), so per gamma only the three base
-    traces are computed.
+    The pairing is affine in (lambda, mu), so per gamma only the three base
+    traces are computed; the grid is one broadcast of t0 + lambda tp + mu tq.
     """
     w0 = witness_dk(d, k)
     p = projector_p(d)
     q = projector_q(d)
-    rows = []
-    for gamma in gamma_grid:
+    base = np.empty((len(gamma_grid), 3))
+    for i, gamma in enumerate(gamma_grid):
         rho = ha_state(d, gamma)
-        t0 = trace_pair(w0, rho)
-        tp = trace_pair(p, rho)
-        tq = trace_pair(q, rho)
-        for lam in lambda_grid:
-            for mu in mu_grid:
-                value = t0 + lam * tp + mu * tq
-                rows.append(
-                    SweepRow(
-                        gamma=gamma,
-                        lam=lam,
-                        mu=mu,
-                        alpha=None,
-                        trace_value=value,
-                        detected=value < 0,
-                    )
-                )
-    return rows
+        base[i] = trace_pair(w0, rho), trace_pair(p, rho), trace_pair(q, rho)
+    t0, tp, tq = base.T[:, :, None, None]  # each (G, 1, 1)
+    lam = np.array(lambda_grid, dtype=float)[:, None]  # (L, 1)
+    mu = np.array(mu_grid, dtype=float)  # (M,)
+    # the per-point float operations, in the order the scalar sum takes them
+    trace = (t0 + lam * tp) + mu * tq
+    detected = trace < DETECTION_TOL
+    for column in (trace, detected):
+        column.setflags(write=False)
+    return SweepTable(tuple(gamma_grid), tuple(lambda_grid), tuple(mu_grid), trace, detected)
 
 
 def separable_catalog(space: TensorSpace) -> dict[str, HermitianOp]:

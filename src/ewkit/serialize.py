@@ -9,14 +9,14 @@ integers.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
 from .certify import Certificate
 from .construct import LinearMapTable
 from .core import HermitianOp, TensorSpace
-from .detect import SweepRow
+from .detect import SweepTable
 
 
 class MalformedFileError(ValueError):
@@ -149,31 +149,29 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
     }
 
 
-def _csv_cell(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+def _sweep_csv_chunks(table: SweepTable) -> Iterator[str]:
+    """The header line, then the rows of each gamma as one chunk."""
+    lams, mus = ([repr(float(v)) for v in grid] for grid in (table.lams, table.mus))
+    tails = [f",{lam},{mu},," for lam in lams for mu in mus]
+    shape = (len(table.gammas), len(tails))
+    traces, hits = table.trace.reshape(shape).tolist(), table.detected.reshape(shape).tolist()
+    yield "gamma,lambda,mu,alpha,trace,detected\n"
+    for gamma, row_traces, row_hits in zip(table.gammas, traces, hits):
+        head = repr(float(gamma))
+        yield "".join([f"{head}{tail}{value!r},{'true' if hit else 'false'}\n"
+                       for tail, value, hit in zip(tails, row_traces, row_hits)])
 
 
-def sweep_to_csv(rows: list[SweepRow]) -> str:
-    """CSV text: header gamma,lambda,mu,alpha,trace,detected; absent fields empty."""
-    lines = ["gamma,lambda,mu,alpha,trace,detected"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _csv_cell(row.gamma),
-                    _csv_cell(row.lam),
-                    _csv_cell(row.mu),
-                    _csv_cell(row.alpha),
-                    _csv_cell(row.trace_value),
-                    "true" if row.detected else "false",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def sweep_to_csv(table: SweepTable) -> str:
+    """CSV text: header gamma,lambda,mu,alpha,trace,detected; alpha is always empty.
+
+    One row per grid point, gamma outer, lambda middle, mu inner; every
+    number in shortest round-trip form.
+    """
+    return "".join(_sweep_csv_chunks(table))
 
 
-def write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
+def write_sweep_csv(path: str, table: SweepTable) -> None:
+    """Write sweep_to_csv(table) one gamma at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(sweep_to_csv(rows))
+        fh.writelines(_sweep_csv_chunks(table))

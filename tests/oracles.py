@@ -2,13 +2,28 @@
 
 These deliberately avoid the code paths under test: partial transposes are
 rebuilt from explicit Kronecker products, thresholds come from brute-force
-sign scans of traces evaluated on explicitly mixed matrices, and product
-minima come from a dense grid over real product vectors.
+sign scans of traces evaluated on explicitly mixed matrices, product
+minima come from a dense grid over real product vectors, and the sweep and
+Ha-state kernels are checked against their per-row and per-block loops.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from ewkit import (
+    HermitianOp,
+    StateFamilyParams,
+    bipartite,
+    matrix_unit,
+    projector_p,
+    projector_q,
+    trace_pair,
+    witness_dk,
+)
+from ewkit.core import DETECTION_TOL
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -119,3 +134,89 @@ def product_grid_minimum(w: np.ndarray, d1: int, d2: int, points: int = 24) -> f
     ys = sphere(d2)
     values = np.einsum("ai,bj,ijkl,ak,bl->ab", xs, ys, w4.real, xs, ys)
     return float(values.min())
+
+
+def ha_state_blocks(d: int, gamma: float) -> HermitianOp:
+    """The Ha state assembled block by block: shifted diagonals and the comb."""
+    params = StateFamilyParams(d, gamma)
+    a, b, n = params.a_gamma, params.b_gamma, params.n_gamma
+    base = np.zeros(d, dtype=complex)
+    base[0] = 1.0
+    base[1] = a
+    base[2 : d - 1] = 1.0
+    base[d - 1] = b
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                block = np.diag(np.roll(base, i))
+            else:
+                block = matrix_unit(d, i, j)
+            rho[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
+    return HermitianOp(bipartite(d), rho / n)
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """One grid point of a detection sweep."""
+
+    gamma: float | None
+    lam: float | None
+    mu: float | None
+    alpha: float | None
+    trace_value: float
+    detected: bool
+
+
+def sweep_rows(
+    d: int, k: int, gamma_grid: list[float], lambda_grid: list[float], mu_grid: list[float]
+) -> list[SweepRow]:
+    """The sweep one row at a time, gamma outer, lambda middle, mu inner."""
+    w0 = witness_dk(d, k)
+    p = projector_p(d)
+    q = projector_q(d)
+    rows = []
+    for gamma in gamma_grid:
+        rho = ha_state_blocks(d, gamma)
+        t0 = trace_pair(w0, rho)
+        tp = trace_pair(p, rho)
+        tq = trace_pair(q, rho)
+        for lam in lambda_grid:
+            for mu in mu_grid:
+                value = t0 + lam * tp + mu * tq
+                rows.append(
+                    SweepRow(
+                        gamma=gamma,
+                        lam=lam,
+                        mu=mu,
+                        alpha=None,
+                        trace_value=value,
+                        detected=value < DETECTION_TOL,
+                    )
+                )
+    return rows
+
+
+def _csv_cell(value: float | None) -> str:
+    if value is None:
+        return ""
+    return repr(float(value))
+
+
+def sweep_rows_csv(rows: list[SweepRow]) -> str:
+    """CSV text of the rows, one cell at a time."""
+    lines = ["gamma,lambda,mu,alpha,trace,detected"]
+    for row in rows:
+        lines.append(
+            ",".join(
+                [
+                    _csv_cell(row.gamma),
+                    _csv_cell(row.lam),
+                    _csv_cell(row.mu),
+                    _csv_cell(row.alpha),
+                    _csv_cell(row.trace_value),
+                    "true" if row.detected else "false",
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"

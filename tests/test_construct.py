@@ -31,7 +31,7 @@ from ewkit import (
     witness_from_difference,
 )
 
-from oracles import random_hermitian
+from oracles import ha_state_blocks, random_hermitian
 
 # The 9x9 witness of the d=3, k=1 family, transcribed digit for digit from
 # its published form (dots are zeros).
@@ -248,6 +248,11 @@ class TestHaState:
             expected = si @ block0 @ si.conj().T
             block = rho.matrix[i * d : (i + 1) * d, i * d : (i + 1) * d]
             assert np.allclose(block, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("d", range(3, 21))
+    def test_matches_block_oracle_bit_for_bit(self, d):
+        for gamma in (0.3, 0.5, 1.0, 1.7):
+            assert np.array_equal(ha_state(d, gamma).matrix, ha_state_blocks(d, gamma).matrix)
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from ewkit import (
     HermitianOp,
     alpha_threshold,
     bipartite,
+    certify_detection,
     chain_pair,
     convex_combination,
     ha_state,
@@ -358,45 +359,52 @@ class TestChainPair:
 
 class TestSweep:
     def test_single_point_value(self):
-        rows = sweep(3, 1, [0.5], [0.0], [0.0])
-        assert len(rows) == 1
-        assert rows[0].trace_value == pytest.approx(-0.75 / 11.25, abs=1e-12)
-        assert rows[0].detected
-        assert rows[0].alpha is None
+        table = sweep(3, 1, [0.5], [0.0], [0.0])
+        assert len(table) == 1
+        assert table.trace.shape == (1, 1, 1)
+        assert table.trace[0, 0, 0] == pytest.approx(-0.75 / 11.25, abs=1e-12)
+        assert table.detected[0, 0, 0]
 
     def test_row_count_and_order(self):
         gammas = [0.2, 0.4]
         lams = [0.0, 0.01, 0.02]
         mus = [0.0, 0.1]
-        rows = sweep(3, 1, gammas, lams, mus)
-        assert len(rows) == len(gammas) * len(lams) * len(mus)
-        seen = [(r.gamma, r.lam, r.mu) for r in rows]
-        expected = [(g, l, m) for g in gammas for l in lams for m in mus]
-        assert seen == expected
+        table = sweep(3, 1, gammas, lams, mus)
+        assert len(table) == len(gammas) * len(lams) * len(mus)
+        assert table.trace.shape == table.detected.shape == (2, 3, 2)
+        assert (table.gammas, table.lams, table.mus) == (tuple(gammas), tuple(lams), tuple(mus))
 
     def test_rows_match_explicit_pairings(self):
-        rows = sweep(3, 1, [0.4, 0.7], [0.0, 0.05], [0.0, 0.03])
-        for row in rows:
-            w = perturbed_witness(3, 1, row.lam, row.mu)
-            direct = trace_pair(w, ha_state(3, row.gamma))
-            assert abs(row.trace_value - direct) <= 1e-12
-            assert row.detected == (row.trace_value < 0)
+        for d, k in [(3, 1), (5, 1), (6, 2), (10, 3)]:
+            table = sweep(d, k, [0.4, 0.7, 1.0, 1.3], [0.0, 0.002, 0.05], [0.0, 0.03])
+            for (gi, li, mi), value in np.ndenumerate(table.trace):
+                w = perturbed_witness(d, k, table.lams[li], table.mus[mi])
+                rho = ha_state(d, table.gammas[gi])
+                assert abs(value - trace_pair(w, rho)) <= 1e-12
+                assert table.detected[gi, li, mi] == certify_detection(w, rho).verdict
+
+    def test_separable_gamma_one_never_detected(self):
+        # round-off leaves Tr(W0 rho_1) at about -1e-17 for many (d, k)
+        for d in range(3, 13):
+            for k in range(1, d - 1):
+                table = sweep(d, k, [1.0], [0.0, 0.01], [0.0, 0.01])
+                assert not table.detected.any(), (d, k, table.trace.min())
 
     def test_gamma_at_least_one_not_detected(self):
-        rows = sweep(3, 1, [1.0, 1.1, 1.2], [0.0, 0.05], [0.0, 0.05])
-        assert all(not r.detected for r in rows)
+        table = sweep(3, 1, [1.0, 1.1, 1.2], [0.0, 0.05], [0.0, 0.05])
+        assert not table.detected.any()
 
     def test_boundary_matches_closed_form_curve(self):
         # at mu = 0 detection flips where lambda crosses (1-g^2)/(2+g^-2)
         lams = [0.005 * i for i in range(41)]
         for gamma in (0.4, 0.6, 0.8):
-            rows = sweep(3, 1, [gamma], lams, [0.0])
+            table = sweep(3, 1, [gamma], lams, [0.0])
             bound = (1 - gamma**2) / (2 + gamma**-2)
-            for row in rows:
-                assert row.detected == (row.lam < bound), (gamma, row.lam)
+            for lam, hit in zip(lams, table.detected[0, :, 0]):
+                assert hit == (lam < bound), (gamma, lam)
 
     def test_empty_grid(self):
-        assert sweep(3, 1, [], [0.0], [0.0]) == []
+        assert len(sweep(3, 1, [], [0.0], [0.0])) == 0
 
 
 class TestSeparableCatalog:

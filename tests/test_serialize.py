@@ -10,7 +10,6 @@ from ewkit import (
     HermitianOp,
     MalformedFileError,
     ScanConfig,
-    SweepRow,
     bipartite,
     blockpos_scan,
     certificate_to_json_dict,
@@ -27,7 +26,7 @@ from ewkit import (
     write_sweep_csv,
 )
 
-from oracles import random_hermitian
+from oracles import random_hermitian, sweep_rows, sweep_rows_csv
 
 
 class TestOperatorRoundTrip:
@@ -105,8 +104,7 @@ class TestMapTableRoundTrip:
 
 class TestSweepCsv:
     def test_header_and_shape(self):
-        rows = sweep(3, 1, [0.5], [0.0], [0.0])
-        text = sweep_to_csv(rows)
+        text = sweep_to_csv(sweep(3, 1, [0.5], [0.0], [0.0]))
         lines = text.strip().split("\n")
         assert lines[0] == "gamma,lambda,mu,alpha,trace,detected"
         assert len(lines) == 2
@@ -116,29 +114,47 @@ class TestSweepCsv:
         assert cells[5] == "true"
 
     def test_floats_round_trip_through_repr(self):
-        rows = sweep(3, 1, [0.1 + 2 * 0.1], [0.0], [0.0])  # a noisy double
-        text = sweep_to_csv(rows)
-        gamma_cell = text.strip().split("\n")[1].split(",")[0]
+        table = sweep(3, 1, [0.1 + 2 * 0.1], [0.0], [0.0])  # a noisy double
+        gamma_cell = sweep_to_csv(table).strip().split("\n")[1].split(",")[0]
         assert float(gamma_cell) == 0.1 + 2 * 0.1
 
     def test_empty_rows_give_header_only(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(str(path), [])
+        write_sweep_csv(str(path), sweep(3, 1, [], [0.0], [0.0]))
         assert path.read_text() == "gamma,lambda,mu,alpha,trace,detected\n"
 
     def test_rewrite_is_byte_identical(self, tmp_path):
-        rows = sweep(3, 1, [0.1 * i for i in range(1, 10)], [0.0, 0.05], [0.0])
+        table = sweep(3, 1, [0.1 * i for i in range(1, 10)], [0.0, 0.05], [0.0])
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_sweep_csv(str(a), rows)
+        write_sweep_csv(str(a), table)
         write_sweep_csv(str(b), sweep(3, 1, [0.1 * i for i in range(1, 10)], [0.0, 0.05], [0.0]))
         assert a.read_bytes() == b.read_bytes()
+        assert a.read_text() == sweep_to_csv(table)
 
-    def test_alpha_rows_supported(self):
-        row = SweepRow(gamma=None, lam=None, mu=None, alpha=0.25,
-                       trace_value=-0.1, detected=True)
-        line = sweep_to_csv([row]).strip().split("\n")[1]
-        assert line == ",,,0.25,-0.1,true"
+    def test_alpha_column_always_empty(self):
+        text = sweep_to_csv(sweep(3, 1, [0.3, 1.0], [0.0, 0.1], [0.0, 0.2]))
+        rows = [line.split(",") for line in text.strip().split("\n")[1:]]
+        assert len(rows) == 8
+        assert all(len(cells) == 6 and cells[3] == "" for cells in rows)
+
+    @pytest.mark.parametrize(
+        "d, k, gammas, lams, mus",
+        [
+            (3, 1, [0.1 * i for i in range(1, 12)], [0.0, 0.05, 0.1], [0.0, 0.03]),
+            (5, 1, [0.25 * i for i in range(1, 7)], [0.0, 0.01], [0.0, 0.02, 0.04]),
+            (6, 2, [0.5, 0.75, 1.0, 1.5], [0.0, 0.003, 0.007], [0.0, 0.004]),
+            (10, 3, [1.0 - 8 / 64 + i / 64 for i in range(16)], [0.0, 0.004], [0.0, 0.006]),
+            (3, 1, [0.1 + 2 * 0.1], [0.1 + 2 * 0.1], [0.1 + 2 * 0.1]),
+            (4, 1, [0.7], [0.0], [0.0]),
+            (5, 2, [0.6, 1.0], [-0.05, -0.025, 0.0, 0.025], [0.0]),
+            (3, 1, [], [0.0, 0.1], [0.0]),
+            (3, 1, [0.5, 0.7], [], [0.0]),
+        ],
+    )
+    def test_matches_row_by_row_oracle(self, d, k, gammas, lams, mus):
+        expected = sweep_rows_csv(sweep_rows(d, k, gammas, lams, mus))
+        assert sweep_to_csv(sweep(d, k, gammas, lams, mus)) == expected
 
 
 class TestCertificateJson:
