@@ -196,6 +196,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             seed=args.seed if args.seed is not None else _default_seed(),
         )
         cert = blockpos_scan(w, config)
+        unconverged = cert.evidence["unconverged_restarts"]
+        if unconverged:
+            print(
+                f"warning: {unconverged} of {config.restarts} restarts reached "
+                "--max-iters without converging",
+                file=sys.stderr,
+            )
     else:  # ccp
         w, _ = read_operator(_require(args.witness, "-w"))
         cert = certify_completely_copositive(w)

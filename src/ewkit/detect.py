@@ -171,7 +171,8 @@ def _mix(rho0: HermitianOp, sigma: HermitianOp, alpha: float) -> HermitianOp:
 def sample_sppt(family: MixingFamily, alphas: list[float]) -> list[HermitianOp]:
     """States rho_alpha for each alpha strictly below the family threshold.
 
-    Every returned state is verified to be detected (trace < 0) and, on
+    Every returned state is verified to be detected (trace below
+    DETECTION_TOL, the predicate certify_detection uses) and, on
     bipartite spaces, PPT; a failure means the family inputs were
     inconsistent and raises rather than returning a bad sample.
     """
@@ -186,7 +187,7 @@ def sample_sppt(family: MixingFamily, alphas: list[float]) -> list[HermitianOp]:
                 f"alpha={alpha!r} outside the open interval [0, {threshold!r})"
             )
         rho = _mix(family.rho0, family.sigma_sep, alpha)
-        if trace_pair(family.witness, rho) >= 0:
+        if trace_pair(family.witness, rho) >= DETECTION_TOL:
             raise ArithmeticError(f"sampled state at alpha={alpha!r} is not detected")
         if family.rho0.space.nparts == 2:
             ok, spectrum = is_psd(partial_transpose(rho, bits))
@@ -200,7 +201,11 @@ def sample_sppt(family: MixingFamily, alphas: list[float]) -> list[HermitianOp]:
 
 
 def sample_wind(family: PerturbationFamily, lambdas: list[float]) -> list[HermitianOp]:
-    """Witnesses W0 + lambda P for each lambda strictly below the threshold."""
+    """Witnesses W0 + lambda P for each lambda strictly below the threshold.
+
+    Every returned witness is verified to detect rho0 (trace below
+    DETECTION_TOL); a failure raises rather than returning a bad sample.
+    """
     threshold = family.lambda_threshold
     if threshold is None:
         raise ValueError("family has no detection threshold; nothing to sample")
@@ -211,7 +216,7 @@ def sample_wind(family: PerturbationFamily, lambdas: list[float]) -> list[Hermit
                 f"lambda={lam!r} outside the open interval [0, {threshold!r})"
             )
         w = HermitianOp(family.w0.space, family.w0.matrix + lam * family.p.matrix)
-        if trace_pair(w, family.rho0) >= 0:
+        if trace_pair(w, family.rho0) >= DETECTION_TOL:
             raise ArithmeticError(f"sampled witness at lambda={lam!r} lost detection")
         out.append(w)
     return out

@@ -7,6 +7,7 @@ import pytest
 
 from ewkit import (
     HA_SCHMIDT_ASSUMPTION,
+    Certificate,
     HermitianOp,
     ScanConfig,
     TensorSpace,
@@ -22,6 +23,8 @@ from ewkit import (
     maximally_mixed,
     partial_transpose,
     perturbed_witness,
+    projector_p,
+    projector_q,
     revalidate,
     schmidt_rank,
     trace_pair,
@@ -29,7 +32,7 @@ from ewkit import (
     witness_from_difference,
 )
 
-from oracles import product_grid_minimum, random_hermitian
+from oracles import blockpos_scan_serial, product_grid_minimum, random_hermitian
 
 GAMMA_STAR = math.sqrt((math.sqrt(3.0) - 1.0) / 2.0)
 
@@ -230,6 +233,26 @@ class TestBlockposScan:
         with pytest.raises(ValueError, match="bipartite"):
             blockpos_scan(op)
 
+    def test_unconverged_restarts_counted(self):
+        eye = HermitianOp(bipartite(3), np.eye(9, dtype=complex))
+        assert blockpos_scan(eye, ScanConfig(restarts=10, seed=3)).evidence[
+            "unconverged_restarts"
+        ] == 0
+        capped = blockpos_scan(witness_dk(3, 1), ScanConfig(restarts=10, max_iters=1))
+        assert capped.evidence["unconverged_restarts"] > 0
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 30, 500])
+    def test_unconverged_count_matches_histories(self, max_iters):
+        for op in (witness_dk(3, 1), violating_candidate()):
+            config = ScanConfig(restarts=20, max_iters=max_iters, seed=4)
+            evidence = blockpos_scan(op, config).evidence
+            recount = sum(
+                (len(h) - 1) // 2 == max_iters
+                and abs(h[-3] - h[-1]) > config.conv_tol * max(1.0, abs(h[-1]))
+                for h in evidence["histories"]
+            )
+            assert evidence["unconverged_restarts"] == recount
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScanConfig(restarts=0)
@@ -237,6 +260,66 @@ class TestBlockposScan:
             ScanConfig(conv_tol=0.0)
         with pytest.raises(ValueError):
             ScanConfig(seed=-1)
+
+
+def _scan_equivalence_cases():
+    rng = np.random.default_rng(31)
+    m = random_hermitian(rng, 9)
+    rect = random_hermitian(rng, 12)
+    cases = [
+        ("witness_3_1", witness_dk(3, 1), ScanConfig(restarts=40, seed=5)),
+        ("q_minus_p_candidate", violating_candidate(), ScanConfig(restarts=40, seed=5)),
+        ("identity", HermitianOp(bipartite(3), np.eye(9, dtype=complex)),
+         ScanConfig(restarts=10, seed=3)),
+        ("random_psd", HermitianOp(bipartite(3), m @ m.conj().T),
+         ScanConfig(restarts=20, seed=1)),
+        ("random_3x4", HermitianOp(TensorSpace((3, 4)), rect), ScanConfig(restarts=20, seed=9)),
+        ("random_4x3", HermitianOp(TensorSpace((4, 3)), rect), ScanConfig(restarts=20, seed=9)),
+    ]
+    for d in range(3, 9):
+        config = ScanConfig(restarts=40, max_iters=30, seed=d)
+        cases.append((f"witness_{d}_1", witness_dk(d, 1), config))
+        cases.append((f"q_minus_p_{d}", projector_q(d) - projector_p(d), config))
+    return cases
+
+
+def _at_round_off_tie(history, conv_tol):
+    """Whether the convergence test at the end of history is decided by round-off."""
+    scale = max(1.0, abs(history[-1]))
+    gap = abs(history[-3] - history[-1]) - conv_tol * scale
+    return abs(gap) <= 1e-13 * scale
+
+
+class TestBlockposScanMatchesSerialOracle:
+    @pytest.mark.parametrize(
+        "op, config",
+        [pytest.param(op, config, id=name) for name, op, config in _scan_equivalence_cases()],
+    )
+    def test_matches_serial_oracle(self, op, config):
+        cert = blockpos_scan(op, config)
+        oracle = blockpos_scan_serial(op, config)
+        stacked_h = cert.evidence["histories"]
+        assert len(stacked_h) == len(oracle["histories"]) == config.restarts
+        for ours, theirs in zip(stacked_h, oracle["histories"]):
+            # the two paths sum in different orders, so a restart whose step
+            # change lands within round-off of conv_tol may stop one step
+            # apart; every other restart takes the same number of steps
+            if len(ours) != len(theirs):
+                shorter = theirs[: min(len(ours), len(theirs))]
+                assert _at_round_off_tie(shorter, config.conv_tol)
+            assert ours[-1] == pytest.approx(theirs[-1], abs=1e-10)
+        assert cert.verdict == oracle["verdict"]
+        assert cert.evidence["minimum"] == pytest.approx(oracle["minimum"], abs=1e-10)
+        best = cert.evidence["best_restart"]
+        assert oracle["histories"][best][-1] == pytest.approx(oracle["minimum"], abs=1e-10)
+
+    def test_restarts_do_not_depend_on_stack_size(self):
+        for op in (witness_dk(3, 1), violating_candidate()):
+            small = blockpos_scan(op, ScanConfig(restarts=10, seed=8)).evidence
+            large = blockpos_scan(op, ScanConfig(restarts=40, seed=8)).evidence
+            for a, b in zip(small["histories"], large["histories"][:10]):
+                assert len(a) == len(b)
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 class TestCertifyCompletelyCopositive:
@@ -272,8 +355,17 @@ class TestRevalidate:
         for cert in certs:
             assert revalidate(cert), cert.kind
 
-    def test_unknown_kind_rejected(self):
-        from ewkit import Certificate
+    def test_forged_blockpos_certificate_rejected(self):
+        cert = blockpos_scan(violating_candidate(), ScanConfig(restarts=10, seed=2))
+        assert revalidate(cert)
+        forged = Certificate(
+            cert.kind,
+            True,
+            {**cert.evidence, "minimum": 1.0},
+            operators=cert.operators,
+        )
+        assert not revalidate(forged)
 
+    def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             revalidate(Certificate("nonsense", True, {}))

@@ -282,6 +282,26 @@ class TestCertify:
                            "--restarts", "25", "--seed", "3")
         assert code == 0
 
+    def test_blockpos_warns_on_capped_restarts(self, capsys, w0_path):
+        code, out, err = run(capsys, "certify", "blockpos", "-w", w0_path,
+                             "--restarts", "6", "--max-iters", "1", "--seed", "3")
+        assert code == 0
+        unconverged = json.loads(out)["evidence"]["unconverged_restarts"]
+        assert unconverged > 0
+        assert err == (f"warning: {unconverged} of 6 restarts reached --max-iters "
+                       "without converging\n")
+
+    def test_blockpos_silent_when_all_converge(self, tmp_path, capsys):
+        from ewkit import HermitianOp, bipartite, write_operator
+
+        path = tmp_path / "eye.json"
+        write_operator(str(path), HermitianOp(bipartite(3), np.eye(9, dtype=complex)))
+        code, out, err = run(capsys, "certify", "blockpos", "-w", str(path),
+                             "--restarts", "6")
+        assert code == 0
+        assert json.loads(out)["evidence"]["unconverged_restarts"] == 0
+        assert err == ""
+
     def test_ccp_pair(self, tmp_path, capsys):
         from ewkit import write_operator
 

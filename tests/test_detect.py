@@ -276,6 +276,15 @@ class TestMixingFamilyAndSampling:
         ok_pt, _ = is_psd(partial_transpose(mixed, (False, True)))
         assert ok_pt
 
+    def test_samples_use_shared_detection_predicate(self):
+        family = self.make_family()
+        thr = family.alpha_threshold
+        # inside the open interval, but the trace (-6.3e-13) is round-off
+        with pytest.raises(ArithmeticError, match="not detected"):
+            sample_sppt(family, [thr * (1 - 1e-11)])
+        for state in sample_sppt(family, [0.0, thr / 2, thr * (1 - 1e-9)]):
+            assert certify_detection(family.witness, state).verdict
+
     def test_alpha_at_threshold_rejected(self):
         family = self.make_family()
         with pytest.raises(ValueError, match="open interval"):
@@ -321,6 +330,14 @@ class TestPerturbationFamilyAndSampling:
         a, b = sample_wind(family, [0.02, 0.1])
         mixed = convex_combination([a, b], [0.3, 0.7])
         assert trace_pair(mixed, family.rho0) < 0
+
+    def test_samples_use_shared_detection_predicate(self):
+        family = self.make_family()
+        thr = family.lambda_threshold
+        with pytest.raises(ArithmeticError, match="lost detection"):
+            sample_wind(family, [thr * (1 - 1e-11)])
+        for w in sample_wind(family, [0.0, thr / 2, thr * (1 - 1e-9)]):
+            assert certify_detection(w, family.rho0).verdict
 
     def test_lambda_at_threshold_rejected(self):
         family = self.make_family()
