@@ -49,7 +49,7 @@ def main():
     print("\nThe k = d-1 member is completely copositive: its partial")
     print("transpose is PSD, so it cannot detect any PPT state.")
     for d in (3, 4):
-        cert = ek.certify_completely_copositive(ek.witness_dk(d, d - 1))
+        cert = ek.certify_ppt(ek.witness_dk(d, d - 1), (False, True))
         print(f"  d={d}, k={d - 1}: PSD partial transpose -> {cert.verdict}")
 
 

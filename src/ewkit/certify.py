@@ -11,8 +11,7 @@ recorded assumption.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -30,6 +29,20 @@ from .core import (
 #: Product-state values below this cutoff count as genuine block-positivity
 #: violations rather than round-off.
 NEGATIVITY_CUTOFF = -1e-8
+
+#: Largest distance revalidate() accepts between a stored evidence float and
+#: the value its producer recomputes, by evidence key ("default" for the
+#: traces and every key not named). Lists are compared entry by entry. A
+#: blockpos "minimum" is compared with its recomputed product value relative
+#: to max(1, |value|).
+REVALIDATE_TOL: dict[str, float] = {
+    "default": 1e-12,
+    "min_eigenvalue": 1e-9,
+    "ppt_min_eigenvalue": 1e-9,
+    "eigenvalues": 1e-9,
+    "product_value": 1e-10,
+    "minimum": 1e-10,
+}
 
 #: Default external fact recorded by atomicity certificates for the Ha family.
 HA_SCHMIDT_ASSUMPTION = (
@@ -113,18 +126,15 @@ def certify_indecomposable(
     """
     w._require_same_space(rho)
     ppt = certify_ppt(rho, sigma)
-    value = trace_pair(w, rho)
-    verdict = bool(ppt.verdict) and value < DETECTION_TOL
+    detection = certify_detection(w, rho)
     evidence = {
-        "trace": value,
-        "trace_threshold": DETECTION_TOL,
+        **detection.evidence,
         "ppt_min_eigenvalue": ppt.evidence["min_eigenvalue"],
         "ppt_tolerance": ppt.evidence["tolerance"],
         "sigma": _sigma_bits(sigma),
     }
-    return Certificate(
-        "indecomposable", verdict, evidence, operators={"witness": w, "rho": rho}
-    )
+    verdict = bool(ppt.verdict) and detection.verdict
+    return replace(detection, kind="indecomposable", verdict=verdict, evidence=evidence)
 
 
 def certify_atomic_conditional(
@@ -137,31 +147,9 @@ def certify_atomic_conditional(
     """
     if not assumption:
         raise ValueError("an explicit assumption string is required")
-    value = trace_pair(w, rho)
-    evidence = {"trace": value, "trace_threshold": DETECTION_TOL}
-    return Certificate(
-        "atomic-conditional",
-        value < DETECTION_TOL,
-        evidence,
-        assumptions=(assumption,),
-        operators={"witness": w, "rho": rho},
+    return replace(
+        certify_detection(w, rho), kind="atomic-conditional", assumptions=(assumption,)
     )
-
-
-def certify_completely_copositive(w: HermitianOp) -> Certificate:
-    """PSD partial transpose on a bipartite space (complete copositivity)."""
-    if w.space.nparts != 2:
-        raise ValueError(f"expected a bipartite space, got {w.space.dims}")
-    pt = partial_transpose(w, (False, True))
-    ok, spectrum = is_psd(pt)
-    scale = max(1.0, float(np.abs(spectrum.eigenvalues).max()))
-    evidence = {
-        "min_eigenvalue": spectrum.min,
-        "eigenvalues": [float(x) for x in spectrum.eigenvalues],
-        "tolerance": PSD_RTOL * scale,
-        "sigma": [0, 1],
-    }
-    return Certificate("ccp", ok, evidence, operators={"witness": w})
 
 
 def schmidt_rank(vec: np.ndarray, space: TensorSpace, tol: float = 1e-10) -> int:
@@ -244,7 +232,6 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
     ys = np.array([y for _, y in starts])
     last = _product_values(w.matrix, xs, ys)
     histories = [[v] for v in last.tolist()]
-    max_step_increase = -math.inf
     active = np.arange(config.restarts)
     for _ in range(config.max_iters):
         val_x, x = _half_step(ys[active], wy, d1)
@@ -252,9 +239,6 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
         xs[active], ys[active] = x, y
         for r, vx, vy in zip(active.tolist(), val_x.tolist(), val_y.tolist()):
             histories[r] += (vx, vy)
-        max_step_increase = max(
-            max_step_increase, (val_x - last[active]).max(), (val_y - val_x).max()
-        )
         scale = np.maximum(1.0, np.abs(val_y))
         converged = np.abs(last[active] - val_y) <= config.conv_tol * scale
         last[active] = val_y
@@ -262,11 +246,11 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
         if not active.size:
             break
 
-    best_restart = int(np.argmin(last))
-    best_value = float(last[best_restart])
+    summary = _history_summary(histories, config.max_iters, config.conv_tol)
+    best_restart = summary["best_restart"]
     x, y = xs[best_restart], ys[best_restart]
     evidence = {
-        "minimum": best_value,
+        "minimum": summary["minimum"],
         "product_value": float(_product_values(w.matrix, x[None], y[None])[0]),
         "cutoff": NEGATIVITY_CUTOFF,
         "restarts": config.restarts,
@@ -274,66 +258,105 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
         "conv_tol": config.conv_tol,
         "seed": config.seed,
         "best_restart": best_restart,
-        "unconverged_restarts": int(active.size),
+        "unconverged_restarts": summary["unconverged_restarts"],
         "x_re": [float(v) for v in x.real],
         "x_im": [float(v) for v in x.imag],
         "y_re": [float(v) for v in y.real],
         "y_im": [float(v) for v in y.imag],
         "histories": histories,
-        "max_step_increase": float(max_step_increase),
+        "max_step_increase": summary["max_step_increase"],
     }
     return Certificate(
         "blockpos-scan",
-        best_value >= NEGATIVITY_CUTOFF,
+        summary["minimum"] >= NEGATIVITY_CUTOFF,
         evidence,
         operators={"witness": w},
     )
 
 
-def _recheck_psd_kind(cert: Certificate, op: HermitianOp) -> bool:
-    bits = tuple(bool(b) for b in cert.evidence["sigma"])
-    ok, spectrum = is_psd(partial_transpose(op, bits))
+def _history_summary(
+    histories: list[list[float]], max_iters: int, conv_tol: float
+) -> dict[str, Any]:
+    """The scan evidence that follows from the per-restart objective histories.
+
+    The best restart is the first with the lowest final value. A restart is
+    unconverged when it took max_iters steps and its last step still moved
+    the objective by more than conv_tol * max(1, |final value|).
+    """
+    finals = [h[-1] for h in histories]
+    best = int(np.argmin(finals))
+    return {
+        "minimum": finals[best],
+        "best_restart": best,
+        "unconverged_restarts": sum(
+            (len(h) - 1) // 2 == max_iters
+            and abs(h[-3] - h[-1]) > conv_tol * max(1.0, abs(h[-1]))
+            for h in histories
+        ),
+        "max_step_increase": float(max(np.diff(h).max() for h in histories)),
+    }
+
+
+def _scan_consistent(cert: Certificate) -> bool:
+    """The stored product vector's value and the histories back the scan's claims."""
+    ev = cert.evidence
+    w = cert.operators["witness"]
+    x = np.array(ev["x_re"]) + 1j * np.array(ev["x_im"])
+    y = np.array(ev["y_re"]) + 1j * np.array(ev["y_im"])
+    value = float(_product_values(w.matrix, x[None], y[None])[0])
+    histories = ev["histories"]
+    # every restart takes at least one step: its start value, then x and y
+    if len(histories) != ev["restarts"] or min(map(len, histories), default=0) < 3:
+        return False
+    summary = _history_summary(histories, ev["max_iters"], ev["conv_tol"])
     return (
-        ok == cert.verdict
-        and abs(spectrum.min - cert.evidence["min_eigenvalue"]) <= 1e-9
+        abs(value - ev["product_value"]) <= REVALIDATE_TOL["product_value"]
+        and abs(ev["minimum"] - value) <= REVALIDATE_TOL["minimum"] * max(1.0, abs(value))
+        and ev["cutoff"] == NEGATIVITY_CUTOFF
+        and (value >= NEGATIVITY_CUTOFF) == cert.verdict
+        and all(ev[key] == summary[key] for key in summary)
     )
 
 
+def _matches(stored: Any, fresh: Any, tol: float) -> bool:
+    if isinstance(fresh, float):
+        return isinstance(stored, (int, float)) and abs(stored - fresh) <= tol
+    if isinstance(fresh, list):
+        return isinstance(stored, list) and len(stored) == len(fresh) and all(
+            _matches(s, f, tol) for s, f in zip(stored, fresh)
+        )
+    return type(stored) is type(fresh) and stored == fresh
+
+
 def revalidate(cert: Certificate) -> bool:
-    """Recompute every inequality in the certificate from its stored operators."""
-    kind = cert.kind
-    if kind == "ppt":
-        return _recheck_psd_kind(cert, cert.operators["rho"])
-    if kind == "ccp":
-        return _recheck_psd_kind(cert, cert.operators["witness"])
-    if kind in ("detection", "atomic-conditional"):
-        value = trace_pair(cert.operators["witness"], cert.operators["rho"])
-        return (
-            abs(value - cert.evidence["trace"]) <= 1e-12
-            and (value < cert.evidence["trace_threshold"]) == cert.verdict
+    """Re-run the certificate's producer on its stored operators and compare.
+
+    The verdict, the assumptions and the evidence keys must come out the
+    same; ints, strings and lists must be equal and floats within
+    REVALIDATE_TOL. A blockpos scan is not re-run: the value of its stored
+    product vector is recomputed, and its minimum, best restart, convergence
+    count and step increase must follow from its histories.
+    """
+    ops, ev = cert.operators, cert.evidence
+    if cert.kind == "blockpos-scan":
+        return _scan_consistent(cert)
+    if cert.kind in ("ppt", "ccp"):
+        fresh = certify_ppt(ops["rho"], ev["sigma"])
+    elif cert.kind == "detection":
+        fresh = certify_detection(ops["witness"], ops["rho"])
+    elif cert.kind == "atomic-conditional":
+        assumption = cert.assumptions[0] if cert.assumptions else ""
+        fresh = certify_atomic_conditional(ops["witness"], ops["rho"], assumption)
+    elif cert.kind == "indecomposable":
+        fresh = certify_indecomposable(ops["witness"], ops["rho"], ev["sigma"])
+    else:
+        raise ValueError(f"unknown certificate kind {cert.kind!r}")
+    return (
+        fresh.verdict == cert.verdict
+        and fresh.assumptions == cert.assumptions
+        and ev.keys() == fresh.evidence.keys()
+        and all(
+            _matches(ev[key], value, REVALIDATE_TOL.get(key, REVALIDATE_TOL["default"]))
+            for key, value in fresh.evidence.items()
         )
-    if kind == "indecomposable":
-        w = cert.operators["witness"]
-        rho = cert.operators["rho"]
-        value = trace_pair(w, rho)
-        bits = tuple(bool(b) for b in cert.evidence["sigma"])
-        ok, spectrum = is_psd(partial_transpose(rho, bits))
-        return (
-            abs(value - cert.evidence["trace"]) <= 1e-12
-            and abs(spectrum.min - cert.evidence["ppt_min_eigenvalue"]) <= 1e-9
-            and (ok and value < cert.evidence["trace_threshold"]) == cert.verdict
-        )
-    if kind == "blockpos-scan":
-        w = cert.operators["witness"]
-        d1, d2 = w.space.dims
-        x = np.array(cert.evidence["x_re"]) + 1j * np.array(cert.evidence["x_im"])
-        y = np.array(cert.evidence["y_re"]) + 1j * np.array(cert.evidence["y_im"])
-        vec = np.kron(x, y)
-        product_value = float((vec.conj() @ w.matrix @ vec).real)
-        scale = max(1.0, abs(product_value))
-        return (
-            abs(product_value - cert.evidence["product_value"]) <= 1e-10
-            and abs(cert.evidence["minimum"] - product_value) <= 1e-10 * scale
-            and (product_value >= cert.evidence["cutoff"]) == cert.verdict
-        )
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    )

@@ -13,13 +13,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .certify import (
     HA_SCHMIDT_ASSUMPTION,
     ScanConfig,
     blockpos_scan,
     certify_atomic_conditional,
-    certify_completely_copositive,
     certify_indecomposable,
     certify_ppt,
 )
@@ -203,9 +203,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 "--max-iters without converging",
                 file=sys.stderr,
             )
-    else:  # ccp
+    else:  # ccp: W is completely copositive when W itself is PPT
         w, _ = read_operator(_require(args.witness, "-w"))
-        cert = certify_completely_copositive(w)
+        cert = replace(certify_ppt(w, (False, True)), kind="ccp")
     doc = certificate_to_json_dict(cert)
     text = json.dumps(doc, indent=2)
     print(text)

@@ -18,7 +18,6 @@ from .core import (
     TensorSpace,
     bipartite,
     is_psd,
-    kron,
     matrix_unit,
     pinch,
     shift_operator,
@@ -110,14 +109,16 @@ class LinearMapTable:
             m.setflags(write=False)
             frozen.append(m)
         object.__setattr__(self, "images", tuple(frozen))
-        for i in range(self.d_in):
-            for j in range(self.d_in):
-                dev = np.abs(self.image(i, j).conj().T - self.image(j, i)).max()
-                if dev > MAP_HERMITICITY_TOL:
-                    raise ValueError(
-                        f"map is not Hermiticity preserving at ({i},{j}): "
-                        f"deviation {dev:.3e}"
-                    )
+        # dev[i, j] = max |phi(e_ij)^dag - phi(e_ji)|, for every (i, j) at once
+        units = np.stack(frozen).reshape(self.d_in, self.d_in, self.d_out, self.d_out)
+        dev = np.abs(units.conj().transpose(1, 0, 3, 2) - units).max(axis=(2, 3))
+        bad = np.argwhere(dev > MAP_HERMITICITY_TOL)
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"map is not Hermiticity preserving at ({i},{j}): "
+                f"deviation {dev[i, j]:.3e}"
+            )
 
     def image(self, i: int, j: int) -> np.ndarray:
         return self.images[i * self.d_in + j]
@@ -127,11 +128,7 @@ class LinearMapTable:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.d_in, self.d_in):
             raise ValueError(f"argument shape {x.shape} != ({self.d_in}, {self.d_in})")
-        out = np.zeros((self.d_out, self.d_out), dtype=complex)
-        for i in range(self.d_in):
-            for j in range(self.d_in):
-                out += x[i, j] * self.image(i, j)
-        return out
+        return np.tensordot(x.reshape(-1), np.stack(self.images), axes=1)
 
 
 def witness_dk(d: int, k: int) -> HermitianOp:
@@ -191,12 +188,15 @@ def transpose_map(d: int) -> LinearMapTable:
 
 
 def jamiolkowski(table: LinearMapTable) -> HermitianOp:
-    """Bipartite operator sum_ij e_ij x phi(e_ij) of a tabulated map."""
+    """Bipartite operator sum_ij e_ij x phi(e_ij) of a tabulated map.
+
+    Block (i, j) of the result is phi(e_ij), so the whole sum is one reshape
+    of the stacked images.
+    """
     d_in, d_out = table.d_in, table.d_out
-    w = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for i in range(d_in):
-        for j in range(d_in):
-            w += kron(matrix_unit(d_in, i, j), table.image(i, j))
+    n = d_in * d_out
+    blocks = np.stack(table.images).reshape(d_in, d_in, d_out, d_out)
+    w = blocks.transpose(0, 2, 1, 3).reshape(n, n)
     return HermitianOp(TensorSpace((d_in, d_out)), w)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +37,28 @@ from .core import (
 #: Absolute floor below which a denominator trace counts as zero.
 TOLERANCE_ZERO = 1e-12
 
+#: A declared-separable sigma counts as detected by W (an inconsistent
+#: mixing line) only when Tr(W sigma) falls below -SEPARABLE_TRACE_SLACK.
+SEPARABLE_TRACE_SLACK = 1e-10
+
+#: How far from one the trace of a mixing family's states may be.
+UNIT_TRACE_TOL = 1e-10
+
+
+def _affine_root(t0: float, t1: Callable[[], float]) -> float | None:
+    """Root -t0 / t1 of t0 + x t1: the supremum of x >= 0 keeping it negative.
+
+    None when t0 is not detected (empty supremum), math.inf when the slope
+    t1 is zero within TOLERANCE_ZERO. t1 is evaluated only once t0 is known
+    to be detected.
+    """
+    if t0 >= DETECTION_TOL:
+        return None
+    slope = t1()
+    if slope <= TOLERANCE_ZERO:
+        return math.inf
+    return -t0 / slope
+
 
 def alpha_threshold(
     w: HermitianOp, rho0: HermitianOp, sigma_sep: HermitianOp
@@ -48,14 +71,17 @@ def alpha_threshold(
     supported in the kernel of W (detection persists on all of [0, 1)).
     """
     t0 = trace_pair(w, rho0)
-    if t0 >= DETECTION_TOL:
+    ts = math.nan  # Tr(W sigma), read only once rho0 is known to be detected
+
+    def slope() -> float:
+        nonlocal ts
+        ts = trace_pair(w, sigma_sep)
+        return ts - t0
+
+    root = _affine_root(t0, slope)
+    if root is None or ts < -SEPARABLE_TRACE_SLACK:
         return None
-    ts = trace_pair(w, sigma_sep)
-    if ts < -1e-10:
-        return None
-    if ts <= TOLERANCE_ZERO:
-        return 1.0
-    return -t0 / (-t0 + ts)
+    return 1.0 if ts <= TOLERANCE_ZERO else root
 
 
 def lambda_threshold(
@@ -69,13 +95,7 @@ def lambda_threshold(
     ok, spectrum = is_psd(p)
     if not ok:
         raise ValueError(f"P must be PSD; min eigenvalue {spectrum.min:.3e}")
-    t0 = trace_pair(w0, rho0)
-    if t0 >= DETECTION_TOL:
-        return None
-    tp = trace_pair(p, rho0)
-    if tp <= TOLERANCE_ZERO:
-        return math.inf
-    return -t0 / tp
+    return _affine_root(trace_pair(w0, rho0), lambda: trace_pair(p, rho0))
 
 
 def mu_threshold(
@@ -97,12 +117,7 @@ def mu_threshold(
         if not ok:
             raise ValueError(f"{name} must be PSD; min eigenvalue {spectrum.min:.3e}")
     t_lam = trace_pair(w0, rho0) + lam * trace_pair(p, rho0)
-    if t_lam >= DETECTION_TOL:
-        return None
-    tq = trace_pair(q, rho0)
-    if tq <= TOLERANCE_ZERO:
-        return math.inf
-    return -t_lam / tq
+    return _affine_root(t_lam, lambda: trace_pair(q, rho0))
 
 
 @dataclass(frozen=True)
@@ -131,7 +146,7 @@ def mixing_family(
     w._require_same_space(rho0)
     w._require_same_space(sigma_sep)
     for name, op in (("rho0", rho0), ("sigma_sep", sigma_sep)):
-        if abs(op.trace() - 1.0) > 1e-10:
+        if abs(op.trace() - 1.0) > UNIT_TRACE_TOL:
             raise ValueError(f"{name} must have unit trace, got {op.trace()!r}")
     return MixingFamily(
         witness=w,

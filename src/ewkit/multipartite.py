@@ -1,23 +1,21 @@
-"""N-partite entry points for the sigma-PPT machinery.
+"""N-partite seed pairs for the sigma-PPT machinery.
 
-The trace pairing and the threshold formulas never look at the number of
-factors, and partial transposition already acts factor-wise, so these
-operations delegate to their bipartite counterparts; on N = 2 inputs with
-sigma = (False, True) they agree with them bit for bit. What is genuinely
-multipartite here is the bookkeeping: a seed pair carries the transposition
-pattern sigma it is certified against.
+The trace pairing, the threshold formulas and the certificates never look at
+the number of factors, and partial transposition already acts factor-wise,
+so certify_ppt, certify_indecomposable, alpha_threshold and lambda_threshold
+serve N parties as they are. What is genuinely multipartite is the
+bookkeeping: a seed pair carries the transposition pattern sigma it is
+certified against, as in certify_indecomposable(pair.w0, pair.rho0,
+pair.sigma).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .certify import Certificate, certify_indecomposable, certify_ppt
 from .core import HermitianOp, TensorSpace
-from .detect import alpha_threshold, lambda_threshold
 
 
 @dataclass(frozen=True)
@@ -29,44 +27,13 @@ class MultipartitePair:
     sigma: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        if self.w0.space != self.rho0.space:
-            raise ValueError(
-                f"spaces differ: {self.w0.space.dims} vs {self.rho0.space.dims}"
-            )
+        self.w0._require_same_space(self.rho0)
         bits = tuple(bool(b) for b in self.sigma)
         if len(bits) != self.w0.space.nparts:
             raise ValueError(
                 f"sigma has {len(bits)} entries for {self.w0.space.nparts} factors"
             )
         object.__setattr__(self, "sigma", bits)
-
-
-def sigma_ppt_check(rho: HermitianOp, sigma: Sequence[bool]) -> Certificate:
-    """PSD verdict on the partial transpose over the flagged factors."""
-    return certify_ppt(rho, sigma)
-
-
-def sigma_indecomposable_certificate(pair: MultipartitePair) -> Certificate:
-    """Sufficient condition: W0 detects a sigma-PPT state rho0.
-
-    A sigma-decomposable witness cannot detect an entangled sigma-PPT state,
-    so a True verdict rules that form out.
-    """
-    return certify_indecomposable(pair.w0, pair.rho0, pair.sigma)
-
-
-def multipartite_alpha_threshold(
-    w: HermitianOp, rho0: HermitianOp, sigma_sep: HermitianOp
-) -> float | None:
-    """Mixing threshold; the closed form is dimension-agnostic."""
-    return alpha_threshold(w, rho0, sigma_sep)
-
-
-def multipartite_lambda_threshold(
-    w0: HermitianOp, p: HermitianOp, rho0: HermitianOp
-) -> float | None:
-    """Perturbation threshold; the closed form is dimension-agnostic."""
-    return lambda_threshold(w0, p, rho0)
 
 
 def ghz_projector(num_parts: int = 3, d: int = 2) -> HermitianOp:

@@ -1,7 +1,8 @@
 """Independent oracles the library paths are checked against.
 
 These deliberately avoid the code paths under test: partial transposes are
-rebuilt from explicit Kronecker products, thresholds come from brute-force
+rebuilt from explicit Kronecker products, the Choi-Jamiolkowski operator
+from one Kronecker product per matrix unit, thresholds come from brute-force
 sign scans of traces evaluated on explicitly mixed matrices, product
 minima come from a dense grid over real product vectors, and the sweep,
 Ha-state and block-positivity scan kernels are checked against their
@@ -16,6 +17,7 @@ import numpy as np
 
 from ewkit import (
     HermitianOp,
+    LinearMapTable,
     ScanConfig,
     StateFamilyParams,
     bipartite,
@@ -39,6 +41,25 @@ def kron_chain(factors: list[np.ndarray], transpose_flags: list[bool]) -> np.nda
     out = np.array([[1.0 + 0j]])
     for m, flag in zip(factors, transpose_flags):
         out = np.kron(out, m.T if flag else m)
+    return out
+
+
+def jamiolkowski_kron_sum(table: LinearMapTable) -> np.ndarray:
+    """sum_ij e_ij x phi(e_ij), one Kronecker product per matrix unit."""
+    n = table.d_in * table.d_out
+    w = np.zeros((n, n), dtype=complex)
+    for i in range(table.d_in):
+        for j in range(table.d_in):
+            w += np.kron(matrix_unit(table.d_in, i, j), table.image(i, j))
+    return w
+
+
+def map_apply_loop(table: LinearMapTable, x: np.ndarray) -> np.ndarray:
+    """phi(x) = sum_ij x_ij phi(e_ij), one matrix unit at a time."""
+    out = np.zeros((table.d_out, table.d_out), dtype=complex)
+    for i in range(table.d_in):
+        for j in range(table.d_in):
+            out += x[i, j] * table.image(i, j)
     return out
 
 

@@ -27,23 +27,18 @@ from ewkit import (
     max_entangled_projector,
     maximally_mixed,
     mu_threshold,
-    multipartite_alpha_threshold,
-    multipartite_lambda_threshold,
     partial_transpose,
     perturbed_witness,
     product_basis_state,
     projector_p,
     projector_q,
     revalidate,
-    sigma_indecomposable_certificate,
-    sigma_ppt_check,
     trace_pair,
     witness_dk,
     witness_from_difference,
 )
-from ewkit.multipartite import MultipartitePair
 
-from oracles import alpha_sign_scan, lambda_sign_scan, random_hermitian
+from oracles import alpha_sign_scan, kron_chain, lambda_sign_scan, random_hermitian
 from test_construct import W0_MATRIX, expected_perturbed_matrix
 
 GAMMA_GRID = [round(0.1 * i, 10) for i in range(1, 11)]  # 0.1 .. 1.0
@@ -227,26 +222,20 @@ def test_criterion_09_blockpos_scan():
 
 def test_criterion_10_multipartite_reduction():
     def check():
-        w0 = witness_dk(3, 1)
-        sigma = (False, True)
-        for gamma in (0.3, 0.5, 0.8, 1.0):
-            rho = ha_state(3, gamma)
-            a = sigma_ppt_check(rho, sigma)
-            b = certify_ppt(rho, sigma)
-            assert a.verdict == b.verdict and a.evidence == b.evidence
-            c = sigma_indecomposable_certificate(MultipartitePair(w0, rho, sigma))
-            d = certify_indecomposable(w0, rho, sigma)
-            assert c.verdict == d.verdict and c.evidence == d.evidence
-            sep = maximally_mixed(w0.space)
-            assert multipartite_alpha_threshold(w0, rho, sep) == alpha_threshold(
-                w0, rho, sep
-            )
-            p = projector_p(3)
-            assert multipartite_lambda_threshold(w0, p, rho) == lambda_threshold(
-                w0, p, rho
-            )
-
+        # certify_ppt on N = 2 and N = 3 product operators against explicit
+        # Kronecker products with the flagged factors transposed
         rng = np.random.default_rng(1010)
+        for dims in ((3, 3), (2, 2, 2)):
+            n = len(dims)
+            for _ in range(5):
+                factors = [random_hermitian(rng, d) for d in dims]
+                op = HermitianOp(TensorSpace(dims), kron_chain(factors, [False] * n))
+                for pattern in range(2**n):
+                    bits = [(pattern >> i) & 1 == 1 for i in range(n)]
+                    expected = np.linalg.eigvalsh(kron_chain(factors, bits))
+                    got = np.asarray(certify_ppt(op, bits).evidence["eigenvalues"])
+                    assert np.abs(got - expected).max() <= 1e-12, (dims, bits)
+
         space = TensorSpace((2, 2, 2))
         for _ in range(10):
             op = HermitianOp(space, random_hermitian(rng, 8))
@@ -255,4 +244,5 @@ def test_criterion_10_multipartite_reduction():
                 twice = partial_transpose(partial_transpose(op, bits), bits)
                 assert np.abs(twice.matrix - op.matrix).max() <= 1e-12
 
-    _gate(10, "multipartite ops reduce bit-for-bit at N=2; transpose is an involution", check)
+    _gate(10, "sigma-PPT spectra match explicit Kronecker products at N=2, 3; "
+              "transpose is an involution", check)

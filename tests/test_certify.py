@@ -1,6 +1,7 @@
 """Certificates: PPT, indecomposability, conditional atomicity, scan."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from ewkit import (
     bipartite,
     blockpos_scan,
     certify_atomic_conditional,
-    certify_completely_copositive,
     certify_detection,
     certify_indecomposable,
     certify_ppt,
+    ghz_projector,
     ha_state,
     max_entangled_projector,
     maximally_mixed,
@@ -178,16 +179,19 @@ class TestBlockposScan:
         cert = blockpos_scan(witness_dk(3, 1), ScanConfig(restarts=100, seed=7))
         assert cert.verdict
         assert cert.evidence["minimum"] >= -1e-8
+        assert revalidate(cert)
 
     def test_identity_passes_with_minimum_one(self):
         eye = HermitianOp(bipartite(3), np.eye(9, dtype=complex))
         cert = blockpos_scan(eye, ScanConfig(restarts=10, seed=3))
         assert cert.verdict
         assert cert.evidence["minimum"] == pytest.approx(1.0, abs=1e-10)
+        assert revalidate(cert)
 
     def test_violating_candidate_found(self):
         cert = blockpos_scan(violating_candidate(), ScanConfig(restarts=100, seed=7))
         assert not cert.verdict
+        assert revalidate(cert)
         # global product minimum of I/3 - 2|Phi+><Phi+| is 1/3 - 2/3 = -1/3
         assert cert.evidence["minimum"] == pytest.approx(-1 / 3, abs=1e-9)
         x = np.array(cert.evidence["x_re"]) + 1j * np.array(cert.evidence["x_im"])
@@ -202,6 +206,7 @@ class TestBlockposScan:
         w = violating_candidate()
         grid_min = product_grid_minimum(w.matrix, 3, 3)
         cert = blockpos_scan(w, ScanConfig(restarts=40, seed=11))
+        assert revalidate(cert)
         # the scan must do at least as well as the coarse grid
         assert cert.evidence["minimum"] <= grid_min + 1e-8
         assert abs(cert.evidence["minimum"] - grid_min) <= 5e-2
@@ -209,6 +214,7 @@ class TestBlockposScan:
     def test_objective_non_increasing(self):
         for op in (witness_dk(3, 1), violating_candidate()):
             cert = blockpos_scan(op, ScanConfig(restarts=30, seed=5))
+            assert revalidate(cert)
             assert cert.evidence["max_step_increase"] <= 1e-10
             for history in cert.evidence["histories"]:
                 diffs = np.diff(np.asarray(history))
@@ -219,6 +225,7 @@ class TestBlockposScan:
         a = blockpos_scan(witness_dk(3, 1), config)
         b = blockpos_scan(witness_dk(3, 1), config)
         assert a.evidence == b.evidence
+        assert revalidate(a)
 
     def test_psd_operator_passes(self):
         rng = np.random.default_rng(23)
@@ -226,6 +233,7 @@ class TestBlockposScan:
         psd = m @ m.conj().T
         cert = blockpos_scan(HermitianOp(bipartite(3), psd), ScanConfig(restarts=20, seed=1))
         assert cert.verdict
+        assert revalidate(cert)
         assert cert.evidence["minimum"] >= -1e-8
 
     def test_rejects_non_bipartite(self):
@@ -235,17 +243,19 @@ class TestBlockposScan:
 
     def test_unconverged_restarts_counted(self):
         eye = HermitianOp(bipartite(3), np.eye(9, dtype=complex))
-        assert blockpos_scan(eye, ScanConfig(restarts=10, seed=3)).evidence[
-            "unconverged_restarts"
-        ] == 0
+        converged = blockpos_scan(eye, ScanConfig(restarts=10, seed=3))
+        assert converged.evidence["unconverged_restarts"] == 0
         capped = blockpos_scan(witness_dk(3, 1), ScanConfig(restarts=10, max_iters=1))
         assert capped.evidence["unconverged_restarts"] > 0
+        assert revalidate(converged) and revalidate(capped)
 
     @pytest.mark.parametrize("max_iters", [1, 2, 30, 500])
     def test_unconverged_count_matches_histories(self, max_iters):
         for op in (witness_dk(3, 1), violating_candidate()):
             config = ScanConfig(restarts=20, max_iters=max_iters, seed=4)
-            evidence = blockpos_scan(op, config).evidence
+            cert = blockpos_scan(op, config)
+            assert revalidate(cert)
+            evidence = cert.evidence
             recount = sum(
                 (len(h) - 1) // 2 == max_iters
                 and abs(h[-3] - h[-1]) > config.conv_tol * max(1.0, abs(h[-1]))
@@ -297,6 +307,7 @@ class TestBlockposScanMatchesSerialOracle:
     )
     def test_matches_serial_oracle(self, op, config):
         cert = blockpos_scan(op, config)
+        assert revalidate(cert)
         oracle = blockpos_scan_serial(op, config)
         stacked_h = cert.evidence["histories"]
         assert len(stacked_h) == len(oracle["histories"]) == config.restarts
@@ -315,26 +326,33 @@ class TestBlockposScanMatchesSerialOracle:
 
     def test_restarts_do_not_depend_on_stack_size(self):
         for op in (witness_dk(3, 1), violating_candidate()):
-            small = blockpos_scan(op, ScanConfig(restarts=10, seed=8)).evidence
-            large = blockpos_scan(op, ScanConfig(restarts=40, seed=8)).evidence
+            small_cert = blockpos_scan(op, ScanConfig(restarts=10, seed=8))
+            large_cert = blockpos_scan(op, ScanConfig(restarts=40, seed=8))
+            assert revalidate(small_cert) and revalidate(large_cert)
+            small, large = small_cert.evidence, large_cert.evidence
             for a, b in zip(small["histories"], large["histories"][:10]):
                 assert len(a) == len(b)
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
+def certify_ccp(w: HermitianOp) -> Certificate:
+    """The certificate `ewkit certify ccp` prints: W itself is PPT."""
+    return replace(certify_ppt(w, (False, True)), kind="ccp")
+
+
 class TestCertifyCompletelyCopositive:
     def test_k_d_minus_one_member(self):
-        assert certify_completely_copositive(witness_dk(3, 2)).verdict
+        assert certify_ccp(witness_dk(3, 2)).verdict
 
     def test_base_witness_is_not(self):
-        assert not certify_completely_copositive(witness_dk(3, 1)).verdict
+        assert not certify_ccp(witness_dk(3, 1)).verdict
 
     def test_psd_plus_transposed_psd(self):
         rng = np.random.default_rng(29)
         m = random_hermitian(rng, 9)
         psd = HermitianOp(bipartite(3), m @ m.conj().T)
         composed = partial_transpose(psd, (False, True))
-        assert certify_completely_copositive(composed).verdict
+        assert certify_ccp(composed).verdict
 
 
 class TestRevalidate:
@@ -344,11 +362,12 @@ class TestRevalidate:
         certs = [
             certify_ppt(rho, (False, True)),
             certify_ppt(max_entangled_projector(3), (False, True)),
+            certify_ppt(ghz_projector(3, 2), (False, False, True)),
             certify_detection(w0, rho),
             certify_indecomposable(w0, rho, (False, True)),
             certify_indecomposable(w0, ha_state(3, 1.0), (False, True)),
             certify_atomic_conditional(w0, rho, HA_SCHMIDT_ASSUMPTION),
-            certify_completely_copositive(witness_dk(3, 2)),
+            certify_ccp(witness_dk(3, 2)),
             blockpos_scan(w0, ScanConfig(restarts=10, seed=2)),
             blockpos_scan(violating_candidate(), ScanConfig(restarts=10, seed=2)),
         ]
@@ -364,6 +383,44 @@ class TestRevalidate:
             {**cert.evidence, "minimum": 1.0},
             operators=cert.operators,
         )
+        assert not revalidate(forged)
+
+    def test_forged_detection_threshold_rejected(self):
+        # gamma = 1 is separable; raising the threshold would call it detected
+        cert = certify_detection(witness_dk(3, 1), ha_state(3, 1.0))
+        assert not cert.verdict and revalidate(cert)
+        forged = replace(
+            cert, verdict=True, evidence={**cert.evidence, "trace_threshold": 1.0}
+        )
+        assert not revalidate(forged)
+
+    def test_forged_ppt_spectrum_rejected(self):
+        cert = certify_ppt(ha_state(3, 0.5), (False, True))
+        eigenvalues = list(cert.evidence["eigenvalues"])
+        eigenvalues[-1] += 1.0
+        forged = replace(cert, evidence={**cert.evidence, "eigenvalues": eigenvalues})
+        assert not revalidate(forged)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"histories": [[5.0, 4.0, 3.0]] * 3, "best_restart": 99},
+            {"best_restart": 1},
+            {"unconverged_restarts": 3},
+            {"max_step_increase": -1.0},
+        ],
+        ids=["histories", "best_restart", "unconverged", "step_increase"],
+    )
+    def test_forged_blockpos_histories_rejected(self, edit):
+        cert = blockpos_scan(violating_candidate(), ScanConfig(restarts=10, seed=2))
+        assert cert.evidence["best_restart"] != 1
+        forged = replace(cert, evidence={**cert.evidence, **edit})
+        assert not revalidate(forged)
+
+    def test_forged_blockpos_cutoff_rejected(self):
+        # the violating value -1/3 clears a lowered cutoff
+        cert = blockpos_scan(violating_candidate(), ScanConfig(restarts=10, seed=2))
+        forged = replace(cert, verdict=True, evidence={**cert.evidence, "cutoff": -1.0})
         assert not revalidate(forged)
 
     def test_unknown_kind_rejected(self):

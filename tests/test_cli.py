@@ -307,8 +307,19 @@ class TestCertify:
 
         w32 = tmp_path / "w32.json"
         write_operator(str(w32), witness_dk(3, 2))
-        code, _, _ = run(capsys, "certify", "ccp", "-w", str(w32))
+        code, out, _ = run(capsys, "certify", "ccp", "-w", str(w32))
         assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "ccp" and doc["evidence"]["sigma"] == [0, 1]
+
+    def test_ccp_rejects_non_bipartite(self, tmp_path, capsys):
+        from ewkit import ghz_projector, write_operator
+
+        path = tmp_path / "ghz.json"
+        write_operator(str(path), ghz_projector(3, 2))
+        code, out, err = run(capsys, "certify", "ccp", "-w", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
     def test_atomic_records_assumption(self, tmp_path, capsys, w0_path):
         rho = state_path(tmp_path, capsys, 0.5)

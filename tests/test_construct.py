@@ -31,7 +31,12 @@ from ewkit import (
     witness_from_difference,
 )
 
-from oracles import ha_state_blocks, random_hermitian
+from oracles import (
+    ha_state_blocks,
+    jamiolkowski_kron_sum,
+    map_apply_loop,
+    random_hermitian,
+)
 
 # The 9x9 witness of the d=3, k=1 family, transcribed digit for digit from
 # its published form (dots are zeros).
@@ -154,6 +159,23 @@ class TestJamiolkowski:
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
         )
         assert np.array_equal(w.matrix, swap)
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_matches_kron_sum_oracle(self, d):
+        rng = np.random.default_rng(d)
+        random_op = HermitianOp(bipartite(d), random_hermitian(rng, d * d))
+        for table in (choi_map(d, 1), dejamiolkowski(random_op)):
+            assert np.array_equal(jamiolkowski(table).matrix, jamiolkowski_kron_sum(table))
+            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            np.testing.assert_allclose(
+                table.apply(x), map_apply_loop(table, x), rtol=0, atol=1e-12
+            )
+
+    def test_hermiticity_error_names_first_bad_unit(self):
+        images = [matrix_unit(3, i, j) for i in range(3) for j in range(3)]
+        images[5] = 2 * images[5]  # phi(e_12)^dag != phi(e_21), and the reverse
+        with pytest.raises(ValueError, match=r"at \(1,2\): deviation 1\.000e\+00"):
+            LinearMapTable(d_in=3, d_out=3, images=tuple(images))
 
     def test_hermiticity_preservation_enforced(self):
         images = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]

@@ -71,6 +71,12 @@ class TestAlphaThreshold:
         assert alpha_threshold(w0, ha_state(3, 1.0), maximally_mixed(w0.space)) is None
         assert alpha_threshold(w0, ha_state(3, 1.2), maximally_mixed(w0.space)) is None
 
+    def test_sigma_read_only_once_detected(self, w0, rho_star):
+        elsewhere = maximally_mixed(bipartite(4))
+        assert alpha_threshold(w0, ha_state(3, 1.0), elsewhere) is None
+        with pytest.raises(ValueError, match="spaces differ"):
+            alpha_threshold(w0, rho_star, elsewhere)
+
     def test_detected_sigma_gives_none(self, w0, rho_star):
         # a "separable" sigma that the witness detects is a contradiction
         assert alpha_threshold(w0, rho_star, ha_state(3, 0.5)) is None

@@ -1,4 +1,4 @@
-"""N-partite sigma-PPT machinery and its reduction to the bipartite case."""
+"""N-partite sigma-PPT machinery: the bipartite functions on N factors."""
 
 import math
 
@@ -17,20 +17,14 @@ from ewkit import (
     is_psd,
     lambda_threshold,
     maximally_mixed,
-    multipartite_alpha_threshold,
-    multipartite_lambda_threshold,
     partial_transpose,
     projector_p,
-    sigma_indecomposable_certificate,
-    sigma_ppt_check,
     tensor_op,
     trace_pair,
     witness_dk,
 )
 
-from oracles import random_hermitian
-
-GAMMA_STAR = math.sqrt((math.sqrt(3.0) - 1.0) / 2.0)
+from oracles import kron_chain, random_hermitian
 
 
 def ancilla_op() -> HermitianOp:
@@ -49,10 +43,10 @@ class TestSigmaPptCheck:
         space = TensorSpace((2, 2, 2))
         m = random_hermitian(rng, 8)
         rho = HermitianOp(space, m @ m.conj().T / np.trace(m @ m.conj().T).real)
-        assert sigma_ppt_check(rho, (False, False, False)).verdict
+        assert certify_ppt(rho, (False, False, False)).verdict
 
     def test_ghz_fails_single_axis_transpose(self):
-        cert = sigma_ppt_check(ghz_projector(3, 2), (False, False, True))
+        cert = certify_ppt(ghz_projector(3, 2), (False, False, True))
         assert not cert.verdict
         assert cert.evidence["min_eigenvalue"] < -1e-3
 
@@ -68,48 +62,38 @@ class TestSigmaPptCheck:
         )
         for pattern in range(8):
             sigma = tuple((pattern >> i) & 1 == 1 for i in range(3))
-            assert sigma_ppt_check(rho, sigma).verdict, sigma
+            assert certify_ppt(rho, sigma).verdict, sigma
 
 
 class TestBipartiteReduction:
-    def test_ppt_check_agrees_bitwise(self):
-        rho = ha_state(3, 0.5)
-        a = sigma_ppt_check(rho, (False, True))
-        b = certify_ppt(rho, (False, True))
-        assert a.verdict == b.verdict
-        assert a.evidence == b.evidence
-
-    def test_indecomposable_certificate_agrees_bitwise(self):
-        pair = MultipartitePair(witness_dk(3, 1), ha_state(3, 0.5), (False, True))
-        a = sigma_indecomposable_certificate(pair)
-        b = certify_indecomposable(pair.w0, pair.rho0, (False, True))
-        assert a.verdict == b.verdict
-        assert a.evidence == b.evidence
-
-    def test_thresholds_agree_bitwise(self):
-        w0 = witness_dk(3, 1)
-        rho = ha_state(3, GAMMA_STAR)
-        sigma = maximally_mixed(w0.space)
-        assert multipartite_alpha_threshold(w0, rho, sigma) == alpha_threshold(
-            w0, rho, sigma
-        )
-        p = projector_p(3)
-        assert multipartite_lambda_threshold(w0, p, rho) == lambda_threshold(
-            w0, p, rho
-        )
+    def test_ppt_spectrum_matches_kron_chain(self):
+        # the sigma-PPT spectrum of a product operator is the spectrum of the
+        # explicit Kronecker product of its factors, flagged ones transposed
+        rng = np.random.default_rng(41)
+        for dims in ((3, 3), (2, 3), (2, 3, 2), (2, 2, 2)):
+            factors = [random_hermitian(rng, d) for d in dims]
+            n = len(dims)
+            op = HermitianOp(TensorSpace(dims), kron_chain(factors, [False] * n))
+            for pattern in range(2**n):
+                sigma = [(pattern >> i) & 1 == 1 for i in range(n)]
+                expected = np.linalg.eigvalsh(kron_chain(factors, sigma))
+                cert = certify_ppt(op, sigma)
+                np.testing.assert_allclose(
+                    cert.evidence["eigenvalues"], expected, rtol=0, atol=1e-12
+                )
 
 
 class TestAncillaTensoredPair:
     def test_nonnegative_pairing_not_certified(self):
         w = tensor_op(witness_dk(3, 1), ancilla_op())
         rho = tensor_op(ha_state(3, 1.0), ancilla_op())
-        cert = sigma_indecomposable_certificate(
-            MultipartitePair(w, rho, (False, True, False))
-        )
+        pair = MultipartitePair(w, rho, (False, True, False))
+        cert = certify_indecomposable(pair.w0, pair.rho0, pair.sigma)
         assert not cert.verdict
 
     def test_pair_is_certified(self):
-        cert = sigma_indecomposable_certificate(ancilla_pair())
+        pair = ancilla_pair()
+        cert = certify_indecomposable(pair.w0, pair.rho0, pair.sigma)
         assert cert.verdict
         # trace factors: Tr((W x e00)(rho x e00)) = Tr(W rho) * Tr(e00)
         assert cert.evidence["trace"] == pytest.approx(-1 / 15, abs=1e-12)
@@ -117,7 +101,7 @@ class TestAncillaTensoredPair:
     def test_alpha_threshold_from_factored_traces(self):
         pair = ancilla_pair()
         sigma_sep = maximally_mixed(pair.w0.space)
-        value = multipartite_alpha_threshold(pair.w0, pair.rho0, sigma_sep)
+        value = alpha_threshold(pair.w0, pair.rho0, sigma_sep)
         # factored oracle: T0 = Tr(W rho), Ts = Tr(W x e00) / 18
         t0 = trace_pair(witness_dk(3, 1), ha_state(3, 0.5))
         ts = witness_dk(3, 1).trace() * 1.0 / 18.0
@@ -127,7 +111,7 @@ class TestAncillaTensoredPair:
     def test_lambda_threshold_with_tensored_perturbation(self):
         pair = ancilla_pair()
         p3 = tensor_op(projector_p(3), ancilla_op())
-        value = multipartite_lambda_threshold(pair.w0, p3, pair.rho0)
+        value = lambda_threshold(pair.w0, p3, pair.rho0)
         expected = lambda_threshold(witness_dk(3, 1), projector_p(3), ha_state(3, 0.5))
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -136,13 +120,13 @@ class TestAncillaTensoredPair:
         # supported on the ancilla state orthogonal to e00
         other = HermitianOp(TensorSpace((2,)), np.array([[0, 0], [0, 1]], dtype=complex))
         p = tensor_op(projector_p(3), other)
-        assert multipartite_lambda_threshold(pair.w0, p, pair.rho0) == math.inf
+        assert lambda_threshold(pair.w0, p, pair.rho0) == math.inf
 
     def test_undetected_gives_none(self):
         pair = ancilla_pair()
         rho_boundary = tensor_op(ha_state(3, 1.0), ancilla_op())
         sigma_sep = maximally_mixed(pair.w0.space)
-        assert multipartite_alpha_threshold(pair.w0, rho_boundary, sigma_sep) is None
+        assert alpha_threshold(pair.w0, rho_boundary, sigma_sep) is None
 
 
 class TestSigmaInvariances:
@@ -164,8 +148,8 @@ class TestSigmaInvariances:
         rho_t = HermitianOp(space, rho.matrix.T)
         for sigma in [(False, True), (True, False), (False, False), (True, True)]:
             flipped = tuple(not b for b in sigma)
-            a = sigma_ppt_check(rho, sigma)
-            b = sigma_ppt_check(rho_t, flipped)
+            a = certify_ppt(rho, sigma)
+            b = certify_ppt(rho_t, flipped)
             assert a.verdict == b.verdict
             assert np.allclose(
                 a.evidence["eigenvalues"], b.evidence["eigenvalues"], atol=1e-10
@@ -179,7 +163,7 @@ class TestSigmaInvariances:
                 pair.w0.space,
                 (1 - alpha) * pair.rho0.matrix + alpha * sigma_sep.matrix,
             )
-            assert sigma_ppt_check(mixed, pair.sigma).verdict, alpha
+            assert certify_ppt(mixed, pair.sigma).verdict, alpha
 
 
 class TestMultipartitePairValidation:
