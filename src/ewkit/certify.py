@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     DETECTION_TOL,
     HermitianOp,
-    PSD_RTOL,
     TensorSpace,
     is_psd,
     partial_transpose,
@@ -43,6 +42,12 @@ REVALIDATE_TOL: dict[str, float] = {
     "product_value": 1e-10,
     "minimum": 1e-10,
 }
+
+#: schmidt_rank counts singular values above this fraction of the largest.
+SCHMIDT_SV_RTOL = 1e-10
+
+#: How far from one the norm of a vector given to schmidt_rank may be.
+UNIT_NORM_TOL = 1e-10
 
 #: Default external fact recorded by atomicity certificates for the Ha family.
 HA_SCHMIDT_ASSUMPTION = (
@@ -94,11 +99,10 @@ def certify_ppt(rho: HermitianOp, sigma: Sequence[bool]) -> Certificate:
     """Positivity of the partial transpose, with the spectrum as evidence."""
     pt = partial_transpose(rho, sigma)
     ok, spectrum = is_psd(pt)
-    scale = max(1.0, float(np.abs(spectrum.eigenvalues).max()))
     evidence = {
         "min_eigenvalue": spectrum.min,
         "eigenvalues": [float(x) for x in spectrum.eigenvalues],
-        "tolerance": PSD_RTOL * scale,
+        "tolerance": spectrum.psd_tolerance,
         "sigma": _sigma_bits(sigma),
     }
     return Certificate("ppt", ok, evidence, operators={"rho": rho})
@@ -152,11 +156,11 @@ def certify_atomic_conditional(
     )
 
 
-def schmidt_rank(vec: np.ndarray, space: TensorSpace, tol: float = 1e-10) -> int:
+def schmidt_rank(vec: np.ndarray, space: TensorSpace) -> int:
     """Schmidt rank of a unit vector on a bipartite space.
 
     Counts the singular values of the d1 x d2 reshaping above
-    tol * (largest singular value).
+    SCHMIDT_SV_RTOL * (largest singular value).
     """
     if space.nparts != 2:
         raise ValueError(f"expected a bipartite space, got {space.dims}")
@@ -164,10 +168,10 @@ def schmidt_rank(vec: np.ndarray, space: TensorSpace, tol: float = 1e-10) -> int
     if v.size != space.total:
         raise ValueError(f"vector length {v.size} != space dimension {space.total}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"vector must be unit length, got norm {norm!r}")
     singular = np.linalg.svd(v.reshape(space.dims), compute_uv=False)
-    return int(np.count_nonzero(singular > tol * singular[0]))
+    return int(np.count_nonzero(singular > SCHMIDT_SV_RTOL * singular[0]))
 
 
 def _haar_product_start(

@@ -32,7 +32,7 @@ from .construct import (
     projector_q,
     witness_dk,
 )
-from .core import DETECTION_TOL, HermitianOp, trace_pair
+from .core import DETECTION_TOL, HermitianOp, _default_sigma, trace_pair
 from .detect import (
     alpha_threshold,
     lambda_threshold,
@@ -51,15 +51,21 @@ from .serialize import (
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive start, exclusive stop) or a bare number."""
-    if ":" not in text:
-        return [float(text)]
+    """Parse 'start:stop:step' (inclusive start, exclusive stop) or a bare number.
+
+    Every number must be finite, and the step > 0.
+    """
     parts = text.split(":")
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"grid must be 'start:stop:step', got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0 or not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError(f"grid step must be finite and > 0, got {text!r}")
+    numbers = [float(p) for p in parts]
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    if len(numbers) == 1:
+        return numbers
+    start, stop, step = numbers
+    if step <= 0:
+        raise ValueError(f"grid step must be > 0, got {text!r}")
     count = max(0, math.ceil((stop - start) / step - 1e-9))
     return [start + i * step for i in range(count)]
 
@@ -85,8 +91,7 @@ def _default_seed() -> int:
 
 def _sigma_or_default(op: HermitianOp, text: str | None) -> tuple[bool, ...]:
     if text is None:
-        n = op.space.nparts
-        return tuple(i == n - 1 for i in range(n))
+        return _default_sigma(op.space)
     return parse_sigma(text)
 
 
@@ -282,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_certify.add_argument("-s", "--state", default=None)
     p_certify.add_argument("--sigma", default=None,
                            help="comma-separated transposition bits, e.g. 0,1")
-    p_certify.add_argument("--restarts", type=int, default=100)
-    p_certify.add_argument("--max-iters", type=int, default=500)
-    p_certify.add_argument("--conv-tol", type=float, default=1e-12)
+    p_certify.add_argument("--restarts", type=int, default=ScanConfig.restarts)
+    p_certify.add_argument("--max-iters", type=int, default=ScanConfig.max_iters)
+    p_certify.add_argument("--conv-tol", type=float, default=ScanConfig.conv_tol)
     p_certify.add_argument("--seed", type=int, default=None,
                            help="scan seed (default: EWKIT_SEED or 0)")
     p_certify.add_argument("--assumption", default=HA_SCHMIDT_ASSUMPTION,

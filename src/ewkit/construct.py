@@ -26,10 +26,17 @@ from .core import (
 #: Hermiticity-preservation gate for map tables: phi(e_ij)^dag == phi(e_ji).
 MAP_HERMITICITY_TOL = 1e-12
 
+#: How far from one the weights of a convex combination may sum.
+WEIGHT_SUM_TOL = 1e-12
 
-def _validate_dk(d: int, k: int) -> None:
+
+def _validate_d(d: int) -> None:
     if d < 3:
         raise ValueError(f"local dimension must satisfy d >= 3, got d={d}")
+
+
+def _validate_dk(d: int, k: int) -> None:
+    _validate_d(d)
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must satisfy 1 <= k <= d-1, got k={k} for d={d}")
 
@@ -66,8 +73,7 @@ class StateFamilyParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.d < 3:
-            raise ValueError(f"local dimension must satisfy d >= 3, got d={self.d}")
+        _validate_d(self.d)
         if not np.isfinite(self.gamma) or self.gamma <= 0:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
@@ -88,30 +94,26 @@ class StateFamilyParams:
 class LinearMapTable:
     """A linear map M_{d_in} -> M_{d_out} tabulated on the matrix units.
 
-    images[i*d_in + j] holds phi(e_ij). The table must be Hermiticity
-    preserving: phi(e_ij)^dag == phi(e_ji) entrywise.
+    images[i*d_in + j] holds phi(e_ij); the images are stored as one
+    read-only (d_in^2, d_out, d_out) array, the Choi-Jamiolkowski blocks in
+    row-major order. The table must be Hermiticity preserving:
+    phi(e_ij)^dag == phi(e_ji) entrywise.
     """
 
     d_in: int
     d_out: int
-    images: tuple[np.ndarray, ...]
+    images: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.images) != self.d_in**2:
-            raise ValueError(
-                f"expected {self.d_in ** 2} images, got {len(self.images)}"
-            )
-        frozen = []
-        for img in self.images:
-            m = np.array(img, dtype=complex)
-            if m.shape != (self.d_out, self.d_out):
-                raise ValueError(f"image shape {m.shape} != ({self.d_out}, {self.d_out})")
-            m.setflags(write=False)
-            frozen.append(m)
-        object.__setattr__(self, "images", tuple(frozen))
+        units = np.array(self.images, dtype=complex)
+        shape = (self.d_in**2, self.d_out, self.d_out)
+        if units.shape != shape:
+            raise ValueError(f"images must stack to shape {shape}, got {units.shape}")
+        units.setflags(write=False)
+        object.__setattr__(self, "images", units)
         # dev[i, j] = max |phi(e_ij)^dag - phi(e_ji)|, for every (i, j) at once
-        units = np.stack(frozen).reshape(self.d_in, self.d_in, self.d_out, self.d_out)
-        dev = np.abs(units.conj().transpose(1, 0, 3, 2) - units).max(axis=(2, 3))
+        blocks = units.reshape(self.d_in, self.d_in, self.d_out, self.d_out)
+        dev = np.abs(blocks.conj().transpose(1, 0, 3, 2) - blocks).max(axis=(2, 3))
         bad = np.argwhere(dev > MAP_HERMITICITY_TOL)
         if bad.size:
             i, j = bad[0]
@@ -121,6 +123,9 @@ class LinearMapTable:
             )
 
     def image(self, i: int, j: int) -> np.ndarray:
+        """phi(e_ij) for 0 <= i, j < d_in."""
+        if not (0 <= i < self.d_in and 0 <= j < self.d_in):
+            raise ValueError(f"matrix unit ({i},{j}) out of range for d_in={self.d_in}")
         return self.images[i * self.d_in + j]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -128,7 +133,21 @@ class LinearMapTable:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.d_in, self.d_in):
             raise ValueError(f"argument shape {x.shape} != ({self.d_in}, {self.d_in})")
-        return np.tensordot(x.reshape(-1), np.stack(self.images), axes=1)
+        return np.tensordot(x.reshape(-1), self.images, axes=1)
+
+
+def _comb_and_cyclic_diagonal(d: int, comb: float, base: np.ndarray) -> np.ndarray:
+    """comb times the |ii><jj| comb, with diagonal block i set to S^i diag(base) S^-i.
+
+    The layout shared by witness_dk and ha_state: e_i x e_m on the diagonal
+    carries base[(m - i) mod d], so the comb's diagonal entries take base[0].
+    """
+    m = np.zeros((d * d, d * d), dtype=complex)
+    ii = np.arange(d) * (d + 1)  # composite index of e_i x e_i
+    m[ii[:, None], ii] = comb
+    idx = np.arange(d * d)
+    m[idx, idx] = base[(idx % d - idx // d) % d]
+    return m
 
 
 def witness_dk(d: int, k: int) -> HermitianOp:
@@ -140,18 +159,9 @@ def witness_dk(d: int, k: int) -> HermitianOp:
     k = d-1 the operator is completely copositive and detects no PPT state.
     """
     _validate_dk(d, k)
-    w = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                block = (d - k - 1) * matrix_unit(d, i, i)
-                for l in range(1, k + 1):
-                    m = (i + l) % d
-                    block += matrix_unit(d, m, m)
-            else:
-                block = -matrix_unit(d, i, j)
-            w[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-    return HermitianOp(bipartite(d), w)
+    base = np.zeros(d, dtype=complex)
+    base[0], base[1 : k + 1] = d - k - 1, 1.0
+    return HermitianOp(bipartite(d), _comb_and_cyclic_diagonal(d, -1.0, base))
 
 
 def choi_map(d: int, k: int) -> LinearMapTable:
@@ -191,11 +201,11 @@ def jamiolkowski(table: LinearMapTable) -> HermitianOp:
     """Bipartite operator sum_ij e_ij x phi(e_ij) of a tabulated map.
 
     Block (i, j) of the result is phi(e_ij), so the whole sum is one reshape
-    of the stacked images.
+    of the stored images.
     """
     d_in, d_out = table.d_in, table.d_out
     n = d_in * d_out
-    blocks = np.stack(table.images).reshape(d_in, d_in, d_out, d_out)
+    blocks = table.images.reshape(d_in, d_in, d_out, d_out)
     w = blocks.transpose(0, 2, 1, 3).reshape(n, n)
     return HermitianOp(TensorSpace((d_in, d_out)), w)
 
@@ -208,12 +218,8 @@ def dejamiolkowski(w: HermitianOp) -> LinearMapTable:
     if w.space.nparts != 2:
         raise ValueError(f"expected a bipartite space, got {w.space.dims}")
     d_in, d_out = w.space.dims
-    images = tuple(
-        w.matrix[i * d_out : (i + 1) * d_out, j * d_out : (j + 1) * d_out]
-        for i in range(d_in)
-        for j in range(d_in)
-    )
-    return LinearMapTable(d_in=d_in, d_out=d_out, images=images)
+    blocks = w.matrix.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
+    return LinearMapTable(d_in, d_out, blocks.reshape(-1, d_out, d_out))
 
 
 def ha_state(d: int, gamma: float) -> HermitianOp:
@@ -228,16 +234,12 @@ def ha_state(d: int, gamma: float) -> HermitianOp:
     a, b, n = params.a_gamma, params.b_gamma, params.n_gamma
     base = np.ones(d, dtype=complex)
     base[1], base[d - 1] = a, b
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    comb = np.arange(d) * (d + 1)  # composite index of e_i x e_i
-    rho[comb[:, None], comb] = 1.0
-    idx = np.arange(d * d)  # e_i x e_m on the diagonal carries base[(m - i) mod d]
-    rho[idx, idx] = base[(idx % d - idx // d) % d]
-    return HermitianOp(bipartite(d), rho / n)
+    return HermitianOp(bipartite(d), _comb_and_cyclic_diagonal(d, 1.0, base) / n)
 
 
 def _cyclic_projector(d: int, offset: int) -> HermitianOp:
     """d |v><v| for the unit vector v = (1/sqrt d) sum_i e_i x e_{i+offset mod d}."""
+    _validate_d(d)
     vec = np.zeros(d * d, dtype=complex)
     for i in range(d):
         vec[i * d + (i + offset) % d] = 1.0
@@ -251,8 +253,6 @@ def projector_p(d: int) -> HermitianOp:
     times this operator to witness_dk fills exactly the lambda block of the
     perturbed witness matrix.
     """
-    if d < 3:
-        raise ValueError(f"local dimension must satisfy d >= 3, got d={d}")
     return _cyclic_projector(d, -1)
 
 
@@ -261,8 +261,6 @@ def projector_q(d: int) -> HermitianOp:
 
     At d = 3 its support sits at composite indices {1, 5, 6} (the mu block).
     """
-    if d < 3:
-        raise ValueError(f"local dimension must satisfy d >= 3, got d={d}")
     return _cyclic_projector(d, +1)
 
 
@@ -283,8 +281,10 @@ def convex_combination(ops: list[HermitianOp], weights: list[float]) -> Hermitia
         raise ValueError("need one weight per operator and at least one operator")
     if any(w < 0 for w in weights):
         raise ValueError(f"weights must be nonnegative, got {weights}")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1 within 1e-12, got sum {sum(weights)!r}")
+    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(
+            f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}, got sum {sum(weights)!r}"
+        )
     space = ops[0].space
     for op in ops[1:]:
         if op.space != space:

@@ -17,7 +17,7 @@ import numpy as np
 #: Relative gate for accepting a matrix as Hermitian (symmetrized on entry).
 HERMITICITY_RTOL = 1e-12
 
-#: Default relative floor for positive-semidefiniteness verdicts.
+#: Relative floor for positive-semidefiniteness verdicts (Spectrum.psd_tolerance).
 PSD_RTOL = 1e-10
 
 #: Largest tolerated imaginary part of Tr(W rho) for Hermitian W, rho.
@@ -155,6 +155,11 @@ class Spectrum:
     def max(self) -> float:
         return float(self.eigenvalues[-1])
 
+    @property
+    def psd_tolerance(self) -> float:
+        """How far below zero a PSD spectrum may reach: PSD_RTOL * max(1, max |eig|)."""
+        return PSD_RTOL * max(1.0, float(np.abs(self.eigenvalues).max()))
+
 
 MatrixLike = Union[HermitianOp, np.ndarray]
 
@@ -171,6 +176,11 @@ def kron(a: MatrixLike, b: MatrixLike) -> np.ndarray:
 def tensor_op(a: HermitianOp, b: HermitianOp) -> HermitianOp:
     """Tensor product of two operators on the concatenated space."""
     return HermitianOp(TensorSpace(a.space.dims + b.space.dims), kron(a, b))
+
+
+def _default_sigma(space: TensorSpace) -> SigmaVector:
+    """The default transposition pattern: the last factor only."""
+    return tuple(i == space.nparts - 1 for i in range(space.nparts))
 
 
 def _validate_sigma(space: TensorSpace, sigma: Sequence[bool]) -> SigmaVector:
@@ -201,17 +211,15 @@ def partial_transpose(op: HermitianOp, sigma: Sequence[bool]) -> HermitianOp:
     return HermitianOp(op.space, out)
 
 
-def is_psd(op: HermitianOp, tol: float = PSD_RTOL) -> tuple[bool, Spectrum]:
+def is_psd(op: HermitianOp) -> tuple[bool, Spectrum]:
     """Positive-semidefiniteness verdict with the full spectrum as evidence.
 
-    True iff the smallest eigenvalue is >= -tol * max(1, spectral norm
-    estimate). Eigensolver failures propagate as numpy.linalg.LinAlgError
-    rather than being folded into a False verdict.
+    True iff the smallest eigenvalue is >= -Spectrum.psd_tolerance.
+    Eigensolver failures propagate as numpy.linalg.LinAlgError rather than
+    being folded into a False verdict.
     """
-    eigs = np.linalg.eigvalsh(op.matrix)
-    spectrum = Spectrum(eigs)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    return spectrum.min >= -tol * scale, spectrum
+    spectrum = Spectrum(np.linalg.eigvalsh(op.matrix))
+    return spectrum.min >= -spectrum.psd_tolerance, spectrum
 
 
 def trace_pair(w: HermitianOp, rho: HermitianOp) -> float:

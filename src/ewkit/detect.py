@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .construct import (
+    convex_combination,
     ha_state,
     maximally_mixed,
     product_basis_state,
@@ -29,6 +30,7 @@ from .core import (
     DETECTION_TOL,
     HermitianOp,
     TensorSpace,
+    _default_sigma,
     is_psd,
     partial_transpose,
     trace_pair,
@@ -110,8 +112,8 @@ def mu_threshold(
     Same degenerate-case conventions as lambda_threshold; returns None when
     lambda already sits at or above its own threshold.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if not math.isfinite(lam) or lam < 0:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     for name, op in (("P", p), ("Q", q)):
         ok, spectrum = is_psd(op)
         if not ok:
@@ -177,12 +179,6 @@ def perturbation_family(
     )
 
 
-def _mix(rho0: HermitianOp, sigma: HermitianOp, alpha: float) -> HermitianOp:
-    return HermitianOp(
-        rho0.space, (1.0 - alpha) * rho0.matrix + alpha * sigma.matrix
-    )
-
-
 def sample_sppt(family: MixingFamily, alphas: list[float]) -> list[HermitianOp]:
     """States rho_alpha for each alpha strictly below the family threshold.
 
@@ -195,13 +191,13 @@ def sample_sppt(family: MixingFamily, alphas: list[float]) -> list[HermitianOp]:
     if threshold is None:
         raise ValueError("family has no detection threshold; nothing to sample")
     out = []
-    bits = _last_factor_sigma(family.rho0.space)
+    bits = _default_sigma(family.rho0.space)
     for alpha in alphas:
         if not 0.0 <= alpha < threshold:
             raise ValueError(
                 f"alpha={alpha!r} outside the open interval [0, {threshold!r})"
             )
-        rho = _mix(family.rho0, family.sigma_sep, alpha)
+        rho = convex_combination([family.rho0, family.sigma_sep], [1.0 - alpha, alpha])
         if trace_pair(family.witness, rho) >= DETECTION_TOL:
             raise ArithmeticError(f"sampled state at alpha={alpha!r} is not detected")
         if family.rho0.space.nparts == 2:
@@ -247,12 +243,9 @@ def chain_pair(
     threshold = alpha_threshold(w_new, family.rho0, family.sigma_sep)
     if threshold is None:
         return None
-    rho = _mix(family.rho0, family.sigma_sep, threshold / 2.0)
+    alpha = threshold / 2.0
+    rho = convex_combination([family.rho0, family.sigma_sep], [1.0 - alpha, alpha])
     return w_new, rho
-
-
-def _last_factor_sigma(space: TensorSpace) -> tuple[bool, ...]:
-    return tuple(i == space.nparts - 1 for i in range(space.nparts))
 
 
 @dataclass(frozen=True)

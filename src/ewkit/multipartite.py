@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HermitianOp, TensorSpace
+from .core import HermitianOp, TensorSpace, _validate_sigma
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,7 @@ class MultipartitePair:
 
     def __post_init__(self) -> None:
         self.w0._require_same_space(self.rho0)
-        bits = tuple(bool(b) for b in self.sigma)
-        if len(bits) != self.w0.space.nparts:
-            raise ValueError(
-                f"sigma has {len(bits)} entries for {self.w0.space.nparts} factors"
-            )
-        object.__setattr__(self, "sigma", bits)
+        object.__setattr__(self, "sigma", _validate_sigma(self.w0.space, self.sigma))
 
 
 def ghz_projector(num_parts: int = 3, d: int = 2) -> HermitianOp:

@@ -23,6 +23,20 @@ class MalformedFileError(ValueError):
     """The file is not a valid operator / map-table document."""
 
 
+def _read_json(path: str) -> Any:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise MalformedFileError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _write_json(path: str, doc: Any) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
 def _num(x: float) -> int | float:
     # Integral entries serialize as JSON integers; 2^53 bounds exact ints.
     if x == int(x) and abs(x) <= 2**53:
@@ -79,18 +93,11 @@ def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
 
 
 def write_operator(path: str, op: HermitianOp, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(operator_to_json_dict(op, meta), fh)
-        fh.write("\n")
+    _write_json(path, operator_to_json_dict(op, meta))
 
 
 def read_operator(path: str) -> tuple[HermitianOp, dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"{path}: not valid JSON: {exc}") from exc
-    return operator_from_json_dict(doc)
+    return operator_from_json_dict(_read_json(path))
 
 
 def map_table_to_json_dict(table: LinearMapTable) -> dict:
@@ -125,18 +132,11 @@ def map_table_from_json_dict(doc: Any) -> LinearMapTable:
 
 
 def write_map_table(path: str, table: LinearMapTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(map_table_to_json_dict(table), fh)
-        fh.write("\n")
+    _write_json(path, map_table_to_json_dict(table))
 
 
 def read_map_table(path: str) -> LinearMapTable:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(f"{path}: not valid JSON: {exc}") from exc
-    return map_table_from_json_dict(doc)
+    return map_table_from_json_dict(_read_json(path))
 
 
 def certificate_to_json_dict(cert: Certificate) -> dict:

@@ -2,11 +2,12 @@
 
 These deliberately avoid the code paths under test: partial transposes are
 rebuilt from explicit Kronecker products, the Choi-Jamiolkowski operator
-from one Kronecker product per matrix unit, thresholds come from brute-force
-sign scans of traces evaluated on explicitly mixed matrices, product
-minima come from a dense grid over real product vectors, and the sweep,
-Ha-state and block-positivity scan kernels are checked against their
-per-row, per-block and per-restart loops.
+from one Kronecker product per matrix unit and its inverse from one slice
+per block, thresholds come from brute-force sign scans of traces evaluated
+on explicitly mixed matrices, product minima come from a dense grid over
+real product vectors, and the sweep, witness, Ha-state and
+block-positivity scan kernels are checked against their per-row,
+per-block and per-restart loops.
 """
 
 from __future__ import annotations
@@ -52,6 +53,16 @@ def jamiolkowski_kron_sum(table: LinearMapTable) -> np.ndarray:
         for j in range(table.d_in):
             w += np.kron(matrix_unit(table.d_in, i, j), table.image(i, j))
     return w
+
+
+def dejamiolkowski_slices(w: HermitianOp) -> list[np.ndarray]:
+    """phi(e_ij) cut out of w as block (i, j), one slice per matrix unit."""
+    d_in, d_out = w.space.dims
+    return [
+        w.matrix[i * d_out : (i + 1) * d_out, j * d_out : (j + 1) * d_out]
+        for i in range(d_in)
+        for j in range(d_in)
+    ]
 
 
 def map_apply_loop(table: LinearMapTable, x: np.ndarray) -> np.ndarray:
@@ -158,6 +169,22 @@ def product_grid_minimum(w: np.ndarray, d1: int, d2: int, points: int = 24) -> f
     ys = sphere(d2)
     values = np.einsum("ai,bj,ijkl,ak,bl->ab", xs, ys, w4.real, xs, ys)
     return float(values.min())
+
+
+def witness_dk_blocks(d: int, k: int) -> HermitianOp:
+    """W_{d,k} assembled block by block: (d-k-1) e_ii + k shifted units, -e_ij off it."""
+    w = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                block = (d - k - 1) * matrix_unit(d, i, i)
+                for l in range(1, k + 1):
+                    m = (i + l) % d
+                    block += matrix_unit(d, m, m)
+            else:
+                block = -matrix_unit(d, i, j)
+            w[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
+    return HermitianOp(bipartite(d), w)
 
 
 def ha_state_blocks(d: int, gamma: float) -> HermitianOp:

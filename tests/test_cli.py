@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from ewkit import read_operator, witness_dk
-from ewkit.cli import main, parse_grid, parse_sigma
+from ewkit import ScanConfig, read_operator, witness_dk
+from ewkit.cli import build_parser, main, parse_grid, parse_sigma
 
 
 def run(capsys, *argv):
@@ -52,6 +52,16 @@ class TestParseHelpers:
             parse_grid("0.1:1.0:-0.1")
         with pytest.raises(ValueError):
             parse_grid("a:b:c")
+        for text in ("nan", "inf", "-inf", "0:inf:0.1", "0:1:nan"):
+            with pytest.raises(ValueError, match="finite"):
+                parse_grid(text)
+
+    def test_scan_defaults_come_from_scan_config(self):
+        args = build_parser().parse_args(["certify", "blockpos", "-w", "w.json"])
+        config = ScanConfig()
+        assert (args.restarts, args.max_iters, args.conv_tol) == (
+            config.restarts, config.max_iters, config.conv_tol
+        )
 
     def test_sigma_bits(self):
         assert parse_sigma("0,1") == (False, True)
@@ -173,6 +183,18 @@ class TestBounds:
         assert code == 0
         assert out.strip() == "0.200000"
 
+    def test_mu_non_finite_lambda_exits_2(self, tmp_path, capsys, w0_path):
+        rho = state_path(tmp_path, capsys, 0.5)
+        p = tmp_path / "p.json"
+        q = tmp_path / "q.json"
+        run(capsys, "construct", "projector-p", "--d", "3", "--out", str(p))
+        run(capsys, "construct", "projector-q", "--d", "3", "--out", str(q))
+        code, out, err = run(capsys, "bounds", "mu", "-w", w0_path, "-p", str(p),
+                             "-q", str(q), "--lambda", "nan", "-r", rho)
+        assert code == 2
+        assert out == ""
+        assert "lambda must be finite" in err
+
     def test_none_when_precondition_fails(self, tmp_path, capsys, w0_path):
         from ewkit import bipartite, maximally_mixed, write_operator
 
@@ -217,6 +239,15 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--d", "3", "--k", "1",
                          "--gamma-grid", "0.1:0.9", "--out", str(tmp_path / "s.csv"))
         assert code == 2
+
+    def test_non_finite_bare_grid_value_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sweep", "--d", "3", "--k", "1",
+                           "--gamma-grid", "0.5", "--lambda-grid", "nan",
+                           "--mu-grid", "inf", "--out", str(out_path))
+        assert code == 2
+        assert "finite" in err
+        assert not out_path.exists()
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -32,10 +32,12 @@ from ewkit import (
 )
 
 from oracles import (
+    dejamiolkowski_slices,
     ha_state_blocks,
     jamiolkowski_kron_sum,
     map_apply_loop,
     random_hermitian,
+    witness_dk_blocks,
 )
 
 # The 9x9 witness of the d=3, k=1 family, transcribed digit for digit from
@@ -108,6 +110,11 @@ class TestWitnessDk:
             m = witness_dk(d, k).matrix
             assert np.array_equal(m.real, np.round(m.real))
             assert np.abs(m.imag).max() == 0.0
+
+    @pytest.mark.parametrize("d", range(3, 21))
+    def test_matches_block_oracle_bit_for_bit(self, d):
+        for k in range(1, d):
+            assert np.array_equal(witness_dk(d, k).matrix, witness_dk_blocks(d, k).matrix)
 
 
 class TestChoiMap:
@@ -183,6 +190,13 @@ class TestJamiolkowski:
         with pytest.raises(ValueError, match="Hermiticity"):
             LinearMapTable(d_in=2, d_out=2, images=tuple(images))
 
+    def test_image_indices_checked(self):
+        table = identity_map(3)
+        assert np.array_equal(table.image(2, 1), matrix_unit(3, 2, 1))
+        for i, j in ((0, 3), (3, 0), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                table.image(i, j)
+
 
 class TestDejamiolkowski:
     def test_round_trip_exact(self):
@@ -200,6 +214,17 @@ class TestDejamiolkowski:
         for i in range(3):
             for j in range(3):
                 assert np.allclose(table.image(i, j), a[i, j] * b, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(3, 3), (5, 5), (8, 8), (3, 4), (4, 3)])
+    def test_matches_slice_oracle(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        space = TensorSpace(dims)
+        op = HermitianOp(space, random_hermitian(rng, space.total))
+        table = dejamiolkowski(op)
+        assert (table.d_in, table.d_out) == dims
+        assert len(table.images) == dims[0] ** 2
+        for image, expected in zip(table.images, dejamiolkowski_slices(op), strict=True):
+            assert np.array_equal(image, expected)
 
     def test_rejects_non_bipartite(self):
         op = HermitianOp(TensorSpace((2, 2, 2)), np.eye(8, dtype=complex))

@@ -169,6 +169,11 @@ class TestMuThreshold:
         assert mu_threshold(w0, p, q, lam_max, rho) is None
         assert mu_threshold(w0, p, q, lam_max + 0.1, rho) is None
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.1])
+    def test_rejects_non_finite_or_negative_lambda(self, w0, lam):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            mu_threshold(w0, projector_p(3), projector_q(3), lam, ha_state(3, 0.5))
+
 
 class TestAffineInterpolationAgreement:
     """The pairing is affine along each family, so the root of a line fitted

@@ -172,7 +172,8 @@ class TestMultipartitePairValidation:
             MultipartitePair(witness_dk(3, 1), ha_state(4, 0.5), (False, True))
 
     def test_sigma_length_checked(self):
-        with pytest.raises(ValueError, match="sigma"):
+        message = "sigma has 3 entries but the space has 2 factors"  # core's message
+        with pytest.raises(ValueError, match=message):
             MultipartitePair(witness_dk(3, 1), ha_state(3, 0.5), (False, True, False))
 
     def test_ghz_projector_shape(self):
