@@ -50,10 +50,15 @@ from .serialize import (
 )
 
 
+#: Most points a grid, and most rows a sweep, may hold.
+MAX_SWEEP_ROWS = 10**7
+
+
 def parse_grid(text: str) -> list[float]:
     """Parse 'start:stop:step' (inclusive start, exclusive stop) or a bare number.
 
-    Every number must be finite, and the step > 0.
+    Every number must be finite, the step > 0, and the range at most
+    MAX_SWEEP_ROWS points long; the bound is checked before the list is built.
     """
     parts = text.split(":")
     if len(parts) not in (1, 3):
@@ -66,7 +71,10 @@ def parse_grid(text: str) -> list[float]:
     start, stop, step = numbers
     if step <= 0:
         raise ValueError(f"grid step must be > 0, got {text!r}")
-    count = max(0, math.ceil((stop - start) / step - 1e-9))
+    points = (stop - start) / step - 1e-9
+    if points > MAX_SWEEP_ROWS:
+        raise ValueError(f"grid has more than {MAX_SWEEP_ROWS} points, got {text!r}")
+    count = max(0, math.ceil(points))
     return [start + i * step for i in range(count)]
 
 
@@ -151,8 +159,8 @@ def _print_threshold(value: float | None) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    w, _ = read_operator(_require(args.witness, "-w"))
-    rho, _ = read_operator(_require(args.rho, "-r"))
+    w, _ = read_operator(args.witness)
+    rho, _ = read_operator(args.rho)
     if args.kind == "alpha":
         sigma, _ = read_operator(_require(args.sigma_sep, "-s"))
         value = alpha_threshold(w, rho, sigma)
@@ -168,13 +176,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    table = sweep(
-        args.d,
-        args.k,
-        parse_grid(args.gamma_grid),
-        parse_grid(args.lambda_grid),
-        parse_grid(args.mu_grid),
-    )
+    grids = [parse_grid(g) for g in (args.gamma_grid, args.lambda_grid, args.mu_grid)]
+    rows = math.prod(map(len, grids))
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep has {rows} rows, more than {MAX_SWEEP_ROWS}")
+    table = sweep(args.d, args.k, *grids)
     write_sweep_csv(args.out, table)
     return 0
 

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    HermitianOp,
-    TensorSpace,
-    bipartite,
-    is_psd,
-    matrix_unit,
-    pinch,
-    shift_operator,
-)
+from .core import HermitianOp, TensorSpace, bipartite, is_psd
 
 #: Hermiticity-preservation gate for map tables: phi(e_ij)^dag == phi(e_ji).
 MAP_HERMITICITY_TOL = 1e-12
@@ -39,26 +31,6 @@ def _validate_dk(d: int, k: int) -> None:
     _validate_d(d)
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must satisfy 1 <= k <= d-1, got k={k} for d={d}")
-
-
-@dataclass(frozen=True)
-class WitnessFamilyParams:
-    """Member (d, k, lambda, mu) of the perturbed witness family.
-
-    k = d-1 is allowed; it is the completely copositive edge case that no
-    longer detects any PPT state.
-    """
-
-    d: int
-    k: int
-    lam: float = 0.0
-    mu: float = 0.0
-
-    def __post_init__(self) -> None:
-        _validate_dk(self.d, self.k)
-        for name, value in (("lambda", self.lam), ("mu", self.mu)):
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -90,14 +62,14 @@ class StateFamilyParams:
         return self.d**2 - 2 + self.gamma**2 + self.gamma**-2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMapTable:
     """A linear map M_{d_in} -> M_{d_out} tabulated on the matrix units.
 
     images[i*d_in + j] holds phi(e_ij); the images are stored as one
     read-only (d_in^2, d_out, d_out) array, the Choi-Jamiolkowski blocks in
     row-major order. The table must be Hermiticity preserving:
-    phi(e_ij)^dag == phi(e_ji) entrywise.
+    phi(e_ij)^dag == phi(e_ji) entrywise. Tables compare and hash by identity.
     """
 
     d_in: int
@@ -165,36 +137,24 @@ def witness_dk(d: int, k: int) -> HermitianOp:
 
 
 def choi_map(d: int, k: int) -> LinearMapTable:
-    """The positive map x -> (d-k) pinch(x) + sum_{l=1..k} pinch(S^l x S^-l) - x.
+    """The positive map x -> (d-k) diag(x) + sum_{l=1..k} diag(S^l x S^-l) - x.
 
-    Tabulated on the matrix units of M_d; (d, k) = (3, 1) is the unnormalized
-    Choi map. Its witness under the Choi-Jamiolkowski correspondence equals
-    witness_dk(d, k).
+    S is the cyclic shift e_i -> e_{i+1 mod d}; (d, k) = (3, 1) is the
+    unnormalized Choi map. The table is the inverse Choi-Jamiolkowski image
+    of witness_dk(d, k): phi(e_ij) is block (i, j) of the witness.
     """
-    _validate_dk(d, k)
-    s = shift_operator(d)
-    powers = [np.linalg.matrix_power(s, l) for l in range(k + 1)]
-    images = []
-    for i in range(d):
-        for j in range(d):
-            x = matrix_unit(d, i, j)
-            out = (d - k) * pinch(x) - x
-            for l in range(1, k + 1):
-                out = out + pinch(powers[l] @ x @ powers[l].conj().T)
-            images.append(out)
-    return LinearMapTable(d_in=d, d_out=d, images=tuple(images))
+    return dejamiolkowski(witness_dk(d, k))
 
 
 def identity_map(d: int) -> LinearMapTable:
-    """Tabulated identity map on M_d."""
-    images = tuple(matrix_unit(d, i, j) for i in range(d) for j in range(d))
-    return LinearMapTable(d_in=d, d_out=d, images=images)
+    """Tabulated identity map on M_d: phi(e_ij) is unit vector i*d + j, reshaped."""
+    return LinearMapTable(d, d, np.eye(d * d, dtype=complex).reshape(d * d, d, d))
 
 
 def transpose_map(d: int) -> LinearMapTable:
-    """Tabulated transposition map on M_d."""
-    images = tuple(matrix_unit(d, j, i) for i in range(d) for j in range(d))
-    return LinearMapTable(d_in=d, d_out=d, images=images)
+    """Tabulated transposition map on M_d: the identity's images, each transposed."""
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return LinearMapTable(d, d, units.transpose(0, 2, 1))
 
 
 def jamiolkowski(table: LinearMapTable) -> HermitianOp:
@@ -237,12 +197,18 @@ def ha_state(d: int, gamma: float) -> HermitianOp:
     return HermitianOp(bipartite(d), _comb_and_cyclic_diagonal(d, 1.0, base) / n)
 
 
+def _cyclic_vector(d: int, offset: int) -> np.ndarray:
+    """The unnormalized vector sum_i e_i x e_{i+offset mod d} on C^d x C^d."""
+    vec = np.zeros(d * d, dtype=complex)
+    i = np.arange(d)
+    vec[i * d + (i + offset) % d] = 1.0
+    return vec
+
+
 def _cyclic_projector(d: int, offset: int) -> HermitianOp:
     """d |v><v| for the unit vector v = (1/sqrt d) sum_i e_i x e_{i+offset mod d}."""
     _validate_d(d)
-    vec = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        vec[i * d + (i + offset) % d] = 1.0
+    vec = _cyclic_vector(d, offset)
     return HermitianOp(bipartite(d), np.outer(vec, vec.conj()))
 
 
@@ -265,13 +231,19 @@ def projector_q(d: int) -> HermitianOp:
 
 
 def perturbed_witness(d: int, k: int, lam: float = 0.0, mu: float = 0.0) -> HermitianOp:
-    """witness_dk(d, k) + lambda * projector_p(d) + mu * projector_q(d)."""
-    params = WitnessFamilyParams(d, k, lam, mu)
-    w = witness_dk(params.d, params.k)
-    if params.lam:
-        w = w + params.lam * projector_p(d)
-    if params.mu:
-        w = w + params.mu * projector_q(d)
+    """witness_dk(d, k) + lambda * projector_p(d) + mu * projector_q(d).
+
+    k = d-1 is allowed (the completely copositive edge case); lambda and mu
+    must be finite and >= 0.
+    """
+    w = witness_dk(d, k)  # validates (d, k) first
+    for name, value in (("lambda", lam), ("mu", mu)):
+        if not np.isfinite(value) or value < 0:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    if lam:
+        w = w + lam * projector_p(d)
+    if mu:
+        w = w + mu * projector_q(d)
     return w
 
 
@@ -327,8 +299,6 @@ def product_basis_state(space: TensorSpace, local_indices: list[int]) -> Hermiti
 
 def max_entangled_projector(d: int) -> HermitianOp:
     """Unit-trace projector onto (1/sqrt d) sum_i e_i x e_i."""
-    vec = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        vec[i * d + i] = 1.0
+    vec = _cyclic_vector(d, 0)
     vec /= np.sqrt(d)
     return HermitianOp(bipartite(d), np.outer(vec, vec.conj()))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -73,14 +73,15 @@ def bipartite(d1: int, d2: int | None = None) -> TensorSpace:
     return TensorSpace((d1, d2 if d2 is not None else d1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOp:
     """A Hermitian matrix tied to a TensorSpace.
 
     The constructor symmetrizes M <- (M + M^dag)/2 when the deviation is
     within HERMITICITY_RTOL (relative to the largest entry) and rejects the
     matrix otherwise, so drift cannot accumulate through long pipelines.
-    Instances are immutable; the stored array is read-only.
+    Instances are immutable; the stored array is read-only. They compare
+    and hash by identity: compare matrices with np.array_equal.
     """
 
     space: TensorSpace
@@ -136,9 +137,12 @@ class HermitianOp:
             raise ValueError(f"spaces differ: {self.space.dims} vs {other.space.dims}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues of a Hermitian operator, ascending; evidence for PSD checks."""
+    """Eigenvalues of a Hermitian operator, ascending; evidence for PSD checks.
+
+    Compares and hashes by identity, like HermitianOp.
+    """
 
     eigenvalues: np.ndarray
 
@@ -161,21 +165,10 @@ class Spectrum:
         return PSD_RTOL * max(1.0, float(np.abs(self.eigenvalues).max()))
 
 
-MatrixLike = Union[HermitianOp, np.ndarray]
-
-
-def _as_matrix(a: MatrixLike) -> np.ndarray:
-    return a.matrix if isinstance(a, HermitianOp) else np.asarray(a, dtype=complex)
-
-
-def kron(a: MatrixLike, b: MatrixLike) -> np.ndarray:
-    """Kronecker product in the row-major composite index convention."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def tensor_op(a: HermitianOp, b: HermitianOp) -> HermitianOp:
     """Tensor product of two operators on the concatenated space."""
-    return HermitianOp(TensorSpace(a.space.dims + b.space.dims), kron(a, b))
+    space = TensorSpace(a.space.dims + b.space.dims)
+    return HermitianOp(space, np.kron(a.matrix, b.matrix))
 
 
 def _default_sigma(space: TensorSpace) -> SigmaVector:
@@ -235,28 +228,3 @@ def trace_pair(w: HermitianOp, rho: HermitianOp) -> float:
             f"Tr(W rho) has imaginary part {value.imag:.3e}; inputs are corrupted"
         )
     return value.real
-
-
-def shift_operator(d: int) -> np.ndarray:
-    """Cyclic shift on C^d sending e_i to e_{i+1 mod d} (zero-based)."""
-    if d < 2:
-        raise ValueError("shift needs dimension >= 2")
-    s = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        s[(i + 1) % d, i] = 1.0
-    return s
-
-
-def pinch(x: np.ndarray) -> np.ndarray:
-    """Diagonal part of a square matrix (the pinching map)."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError("pinch expects a square matrix")
-    return np.diag(np.diag(x))
-
-
-def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
-    """e_ij = |e_i><e_j| on C^d, zero-based."""
-    m = np.zeros((d, d), dtype=complex)
-    m[i, j] = 1.0
-    return m

@@ -248,13 +248,13 @@ def chain_pair(
     return w_new, rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
     """A detection sweep as columns over the (gamma, lambda, mu) grids.
 
     trace[g, l, m] = Tr((W0 + lambda_l P + mu_m Q) rho_gamma_g) and detected
     marks trace < DETECTION_TOL. One row per grid point, gamma outer, lambda
-    middle, mu inner.
+    middle, mu inner. Tables compare and hash by identity.
     """
 
     gammas: tuple[float, ...]

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths under test: partial transposes are
 rebuilt from explicit Kronecker products, the Choi-Jamiolkowski operator
 from one Kronecker product per matrix unit and its inverse from one slice
-per block, thresholds come from brute-force sign scans of traces evaluated
+per block, the tabulated maps from their formulas applied to one matrix
+unit at a time, thresholds come from brute-force sign scans of traces evaluated
 on explicitly mixed matrices, product minima come from a dense grid over
 real product vectors, and the sweep, witness, Ha-state and
 block-positivity scan kernels are checked against their per-row,
@@ -22,7 +23,6 @@ from ewkit import (
     ScanConfig,
     StateFamilyParams,
     bipartite,
-    matrix_unit,
     projector_p,
     projector_q,
     trace_pair,
@@ -43,6 +43,59 @@ def kron_chain(factors: list[np.ndarray], transpose_flags: list[bool]) -> np.nda
     for m, flag in zip(factors, transpose_flags):
         out = np.kron(out, m.T if flag else m)
     return out
+
+
+def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
+    """e_ij = |e_i><e_j| on C^d, zero-based."""
+    m = np.zeros((d, d), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def shift_operator(d: int) -> np.ndarray:
+    """Cyclic shift on C^d sending e_i to e_{i+1 mod d} (zero-based)."""
+    if d < 2:
+        raise ValueError("shift needs dimension >= 2")
+    s = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        s[(i + 1) % d, i] = 1.0
+    return s
+
+
+def pinch(x: np.ndarray) -> np.ndarray:
+    """Diagonal part of a square matrix (the pinching map)."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError("pinch expects a square matrix")
+    return np.diag(np.diag(x))
+
+
+def choi_map_formula(d: int, k: int) -> np.ndarray:
+    """Images of x -> (d-k) pinch(x) + sum_{l=1..k} pinch(S^l x S^-l) - x on each e_ij.
+
+    Stacked as (d^2, d, d) with phi(e_ij) at i*d + j, like LinearMapTable.images.
+    """
+    s = shift_operator(d)
+    powers = [np.linalg.matrix_power(s, l) for l in range(k + 1)]
+    images = []
+    for i in range(d):
+        for j in range(d):
+            x = matrix_unit(d, i, j)
+            out = (d - k) * pinch(x) - x
+            for l in range(1, k + 1):
+                out = out + pinch(powers[l] @ x @ powers[l].conj().T)
+            images.append(out)
+    return np.array(images)
+
+
+def identity_map_units(d: int) -> np.ndarray:
+    """Images e_ij of the identity map, stacked with phi(e_ij) at i*d + j."""
+    return np.array([matrix_unit(d, i, j) for i in range(d) for j in range(d)])
+
+
+def transpose_map_units(d: int) -> np.ndarray:
+    """Images e_ji of the transposition map, stacked with phi(e_ij) at i*d + j."""
+    return np.array([matrix_unit(d, j, i) for i in range(d) for j in range(d)])
 
 
 def jamiolkowski_kron_sum(table: LinearMapTable) -> np.ndarray:

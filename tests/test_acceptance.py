@@ -38,7 +38,13 @@ from ewkit import (
     witness_from_difference,
 )
 
-from oracles import alpha_sign_scan, kron_chain, lambda_sign_scan, random_hermitian
+from oracles import (
+    alpha_sign_scan,
+    choi_map_formula,
+    kron_chain,
+    lambda_sign_scan,
+    random_hermitian,
+)
 from test_construct import W0_MATRIX, expected_perturbed_matrix
 
 GAMMA_GRID = [round(0.1 * i, 10) for i in range(1, 11)]  # 0.1 .. 1.0
@@ -175,13 +181,17 @@ def test_criterion_07_cj_round_trip():
                 op = HermitianOp(space, random_hermitian(rng, d * d))
                 back = jamiolkowski(dejamiolkowski(op))
                 assert np.abs(back.matrix - op.matrix).max() <= 1e-14
-        for d in (3, 4, 5):
+        for d in range(3, 21):
             for k in range(1, d):
-                assert np.array_equal(
-                    jamiolkowski(choi_map(d, k)).matrix, witness_dk(d, k).matrix
-                )
+                table = choi_map(d, k)
+                assert np.array_equal(table.images, choi_map_formula(d, k))
+                assert np.array_equal(jamiolkowski(table).matrix, witness_dk(d, k).matrix)
 
-    _gate(7, "CJ round trip exact on 50 random operators and all (d,k) witnesses", check)
+    _gate(
+        7,
+        "CJ round trip exact on 50 random operators; choi_map equals its formula, d = 3..20",
+        check,
+    )
 
 
 def test_criterion_08_certificate_soundness():

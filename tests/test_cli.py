@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ewkit import ScanConfig, read_operator, witness_dk
-from ewkit.cli import build_parser, main, parse_grid, parse_sigma
+from ewkit import cli
+from ewkit.cli import MAX_SWEEP_ROWS, build_parser, main, parse_grid, parse_sigma
 
 
 def run(capsys, *argv):
@@ -55,6 +56,18 @@ class TestParseHelpers:
         for text in ("nan", "inf", "-inf", "0:inf:0.1", "0:1:nan"):
             with pytest.raises(ValueError, match="finite"):
                 parse_grid(text)
+
+    def test_grid_longer_than_bound_rejected(self):
+        assert MAX_SWEEP_ROWS == 10**7
+        for text in ("0:1:1e-9", "0:1e300:1e-300"):
+            with pytest.raises(ValueError, match=f"more than {MAX_SWEEP_ROWS} points"):
+                parse_grid(text)
+
+    def test_grid_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 10)
+        assert len(parse_grid("0:1:0.1")) == 10
+        with pytest.raises(ValueError, match="more than 10 points"):
+            parse_grid("0:1.1:0.1")
 
     def test_scan_defaults_come_from_scan_config(self):
         args = build_parser().parse_args(["certify", "blockpos", "-w", "w.json"])
@@ -234,6 +247,19 @@ class TestSweep:
                          "--gamma-grid", "0.5:0.5:0.1", "--out", str(out_path))
         assert code == 0
         assert out_path.read_text() == "gamma,lambda,mu,alpha,trace,detected\n"
+
+    def test_oversized_product_exits_2_before_sweeping(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("sweep called on an oversized grid")
+
+        monkeypatch.setattr(cli, "sweep", must_not_run)
+        out_path = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sweep", "--d", "3", "--k", "1",
+                           "--gamma-grid", "0:1:1e-3", "--lambda-grid", "0:1:1e-3",
+                           "--mu-grid", "0:1:1e-3", "--out", str(out_path))
+        assert code == 2
+        assert f"sweep has 1000000000 rows, more than {MAX_SWEEP_ROWS}" in err
+        assert not out_path.exists()
 
     def test_malformed_grid_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "sweep", "--d", "3", "--k", "1",

@@ -8,7 +8,6 @@ from ewkit import (
     LinearMapTable,
     StateFamilyParams,
     TensorSpace,
-    WitnessFamilyParams,
     bipartite,
     choi_map,
     convex_combination,
@@ -17,14 +16,12 @@ from ewkit import (
     identity_map,
     is_psd,
     jamiolkowski,
-    matrix_unit,
     max_entangled_projector,
     maximally_mixed,
     partial_transpose,
     perturbed_witness,
     projector_p,
     projector_q,
-    shift_operator,
     trace_pair,
     transpose_map,
     witness_dk,
@@ -32,11 +29,16 @@ from ewkit import (
 )
 
 from oracles import (
+    choi_map_formula,
     dejamiolkowski_slices,
     ha_state_blocks,
+    identity_map_units,
     jamiolkowski_kron_sum,
     map_apply_loop,
+    matrix_unit,
     random_hermitian,
+    shift_operator,
+    transpose_map_units,
     witness_dk_blocks,
 )
 
@@ -129,12 +131,13 @@ class TestChoiMap:
                 if i != j:
                     assert np.array_equal(table.image(i, j), -matrix_unit(3, i, j))
 
-    @pytest.mark.parametrize("d,k", all_dk_pairs())
+    @pytest.mark.parametrize("d,k", all_dk_pairs(20))
     def test_jamiolkowski_reproduces_witness(self, d, k):
-        # two independent constructions of the same operator
-        assert np.array_equal(
-            jamiolkowski(choi_map(d, k)).matrix, witness_dk(d, k).matrix
-        )
+        # choi_map is built from the witness, so check it against the map's
+        # own formula applied to each matrix unit
+        table = choi_map(d, k)
+        assert np.array_equal(table.images, choi_map_formula(d, k))
+        assert np.array_equal(jamiolkowski(table).matrix, witness_dk(d, k).matrix)
 
     def test_apply_matches_tabulation(self):
         table = choi_map(4, 2)
@@ -159,6 +162,11 @@ class TestJamiolkowski:
         assert np.array_equal(w.matrix, expected)
         # unnormalized maximally entangled projector times d
         assert np.allclose(w.matrix, 3 * max_entangled_projector(3).matrix, atol=1e-15)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_identity_and_transpose_match_unit_oracles(self, d):
+        assert np.array_equal(identity_map(d).images, identity_map_units(d))
+        assert np.array_equal(transpose_map(d).images, transpose_map_units(d))
 
     def test_transpose_map_is_swap(self):
         w = jamiolkowski(transpose_map(2))
@@ -470,10 +478,10 @@ class TestParams:
         assert params.n_gamma == pytest.approx(7 + 0.25 + 4, abs=0)
 
     def test_witness_params_validation(self):
-        WitnessFamilyParams(3, 2, 0.0, 0.0)  # k = d-1 allowed
-        with pytest.raises(ValueError):
-            WitnessFamilyParams(3, 3)
-        with pytest.raises(ValueError):
-            WitnessFamilyParams(3, 1, lam=-1.0)
-        with pytest.raises(ValueError):
-            WitnessFamilyParams(3, 1, mu=float("nan"))
+        perturbed_witness(3, 2, 0.0, 0.0)  # k = d-1 allowed
+        with pytest.raises(ValueError, match="k must satisfy"):
+            perturbed_witness(3, 3)
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            perturbed_witness(3, 1, lam=-1.0)
+        with pytest.raises(ValueError, match="mu must be finite and >= 0"):
+            perturbed_witness(3, 1, mu=float("nan"))

@@ -10,17 +10,16 @@ from ewkit import (
     Spectrum,
     TensorSpace,
     bipartite,
+    choi_map,
     is_psd,
-    kron,
-    matrix_unit,
     partial_transpose,
-    pinch,
-    shift_operator,
     tensor_op,
     trace_pair,
+    witness_dk,
 )
+from ewkit.detect import sweep
 
-from oracles import kron_chain, random_hermitian
+from oracles import kron_chain, matrix_unit, pinch, random_hermitian, shift_operator
 
 DIM_CHOICES = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
 
@@ -75,23 +74,51 @@ class TestHermitianOp:
         assert np.array_equal((-a).matrix, -np.eye(4))
 
 
+def _local(m: np.ndarray) -> HermitianOp:
+    return HermitianOp(TensorSpace((len(m),)), m)
+
+
+class TestIdentitySemantics:
+    """The array-holding dataclasses compare and hash by identity."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: witness_dk(3, 1),
+            lambda: is_psd(witness_dk(3, 1))[1],
+            lambda: choi_map(3, 1),
+            lambda: sweep(3, 1, [0.5], [0.0], [0.0]),
+        ],
+        ids=["HermitianOp", "Spectrum", "LinearMapTable", "SweepTable"],
+    )
+    def test_eq_and_hash_by_identity(self, make):
+        a, b = make(), make()
+        assert (a == b) is False
+        assert (a != b) is True
+        assert a == a
+        assert len({a, b, a}) == 2
+
+
 class TestKron:
+    """tensor_op is the library's Kronecker product."""
+
     def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        eye2 = _local(np.eye(2, dtype=complex))
+        assert np.array_equal(tensor_op(eye2, eye2).matrix, np.eye(4))
 
     def test_basis_bookkeeping(self):
         # e_00 x e_11 on 3 x 3: the single entry lands at (0*3+1, 0*3+1)
-        out = kron(matrix_unit(3, 0, 0), matrix_unit(3, 1, 1))
+        out = tensor_op(_local(matrix_unit(3, 0, 0)), _local(matrix_unit(3, 1, 1)))
         expected = np.zeros((9, 9), dtype=complex)
         expected[1, 1] = 1.0
-        assert np.array_equal(out, expected)
+        assert np.array_equal(out.matrix, expected)
 
     def test_mixed_product_property(self):
         rng = np.random.default_rng(11)
-        a, b, c, d = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                      for _ in range(4))
-        left = kron(a, b) @ kron(c, d)
-        right = kron(a @ c, b @ d)
+        a, b, c, d = (random_hermitian(rng, 3) for _ in range(4))
+        ab, cd = tensor_op(_local(a), _local(b)), tensor_op(_local(c), _local(d))
+        left = ab.matrix @ cd.matrix
+        right = np.kron(a @ c, b @ d)
         assert np.allclose(left, right, atol=1e-12)
 
     def test_tensor_op_concatenates_spaces(self):
@@ -103,6 +130,8 @@ class TestKron:
 
 
 class TestShiftOperator:
+    """The shift of the choi_map formula oracle."""
+
     def test_d2_matrix(self):
         assert np.array_equal(shift_operator(2), np.array([[0, 1], [1, 0]]))
 
@@ -123,6 +152,8 @@ class TestShiftOperator:
 
 
 class TestPinch:
+    """The pinching of the choi_map formula oracle."""
+
     def test_diagonal_unchanged(self):
         m = np.diag([1.0, 2.0, 3.0]).astype(complex)
         assert np.array_equal(pinch(m), m)
