@@ -3,15 +3,16 @@
 Subcommands: construct, pair, bounds, sweep, certify, cj. Exit codes are a
 total contract: 0 success (or certified), 1 not-certified / violation found,
 2 parameter violation or dimension mismatch, 3 unreadable or malformed file.
-The environment variable EWKIT_SEED supplies the default scan seed.
+Each kind of construct, bounds, certify and cj accepts only the options it
+reads; any other option, like a missing required one, exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -89,37 +90,22 @@ def parse_sigma(text: str) -> tuple[bool, ...]:
     return tuple(bits)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("EWKIT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"EWKIT_SEED must be an integer, got {raw!r}") from exc
-
-
 def _sigma_or_default(op: HermitianOp, text: str | None) -> tuple[bool, ...]:
     if text is None:
         return _default_sigma(op.space)
     return parse_sigma(text)
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ValueError(f"missing required option {flag}")
-    return value
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     kind = args.kind
     d = args.d
     if kind == "witness":
-        op = witness_dk(d, _require(args.k, "--k"))
+        op = witness_dk(d, args.k)
         meta = {"construction": "witness-dk", "d": d, "k": args.k}
     elif kind == "state":
-        gamma = _require(args.gamma, "--gamma")
-        op = ha_state(d, gamma)
-        meta = {"construction": "ha-state", "d": d, "gamma": gamma}
-        if gamma == 1.0:
+        op = ha_state(d, args.gamma)
+        meta = {"construction": "ha-state", "d": d, "gamma": args.gamma}
+        if args.gamma == 1.0:
             meta["separable"] = True
     elif kind == "projector-p":
         op = projector_p(d)
@@ -128,7 +114,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         op = projector_q(d)
         meta = {"construction": "projector-q", "d": d}
     else:  # perturbed
-        op = perturbed_witness(d, _require(args.k, "--k"), args.lam, args.mu)
+        op = perturbed_witness(d, args.k, args.lam, args.mu)
         meta = {
             "construction": "perturbed-witness",
             "d": d,
@@ -162,14 +148,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     w, _ = read_operator(args.witness)
     rho, _ = read_operator(args.rho)
     if args.kind == "alpha":
-        sigma, _ = read_operator(_require(args.sigma_sep, "-s"))
+        sigma, _ = read_operator(args.sigma_sep)
         value = alpha_threshold(w, rho, sigma)
     elif args.kind == "lambda":
-        p, _ = read_operator(_require(args.p, "-p"))
+        p, _ = read_operator(args.p)
         value = lambda_threshold(w, p, rho)
     else:  # mu
-        p, _ = read_operator(_require(args.p, "-p"))
-        q, _ = read_operator(_require(args.q, "-q"))
+        p, _ = read_operator(args.p)
+        q, _ = read_operator(args.q)
         value = mu_threshold(w, p, q, args.lam, rho)
     _print_threshold(value)
     return 0
@@ -188,24 +174,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "ppt":
-        rho, _ = read_operator(_require(args.state, "-s"))
+        rho, _ = read_operator(args.state)
         cert = certify_ppt(rho, _sigma_or_default(rho, args.sigma))
     elif kind == "indecomposable":
-        w, _ = read_operator(_require(args.witness, "-w"))
-        rho, _ = read_operator(_require(args.state, "-s"))
+        w, _ = read_operator(args.witness)
+        rho, _ = read_operator(args.state)
         cert = certify_indecomposable(w, rho, _sigma_or_default(rho, args.sigma))
     elif kind == "atomic":
-        w, _ = read_operator(_require(args.witness, "-w"))
-        rho, _ = read_operator(_require(args.state, "-s"))
+        w, _ = read_operator(args.witness)
+        rho, _ = read_operator(args.state)
         cert = certify_atomic_conditional(w, rho, args.assumption)
     elif kind == "blockpos":
-        w, _ = read_operator(_require(args.witness, "-w"))
-        config = ScanConfig(
-            restarts=args.restarts,
-            max_iters=args.max_iters,
-            conv_tol=args.conv_tol,
-            seed=args.seed if args.seed is not None else _default_seed(),
-        )
+        w, _ = read_operator(args.witness)
+        config = ScanConfig(restarts=args.restarts, max_iters=args.max_iters,
+                            conv_tol=args.conv_tol, seed=args.seed)
         cert = blockpos_scan(w, config)
         unconverged = cert.evidence["unconverged_restarts"]
         if unconverged:
@@ -215,7 +197,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     else:  # ccp: W is completely copositive when W itself is PPT
-        w, _ = read_operator(_require(args.witness, "-w"))
+        w, _ = read_operator(args.witness)
         cert = replace(certify_ppt(w, (False, True)), kind="ccp")
     doc = certificate_to_json_dict(cert)
     text = json.dumps(doc, indent=2)
@@ -228,15 +210,28 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_cj(args: argparse.Namespace) -> int:
     if args.direction == "to-map":
-        w, _ = read_operator(_require(args.witness, "-w"))
+        w, _ = read_operator(args.witness)
         write_map_table(args.out, dejamiolkowski(w))
     else:  # to-witness
-        table = read_map_table(_require(args.map, "-m"))
+        table = read_map_table(args.map)
         write_operator(args.out, jamiolkowski(table), {"construction": "cj-witness"})
     return 0
 
 
+def _option(*flags: str, **keywords) -> tuple:
+    return flags, keywords
+
+
+def _add_kind(kinds, name: str, *options: tuple) -> None:
+    """A sub-parser for one kind that declares exactly the options it reads."""
+    parser = kinds.add_parser(name)
+    for flags, keywords in options:
+        parser.add_argument(*flags, **keywords)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ewkit parser, built once per process: a parse leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ewkit",
         description=(
@@ -246,34 +241,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_construct = sub.add_parser("construct", help="build an operator and write it")
-    p_construct.add_argument(
-        "kind",
-        choices=["witness", "state", "projector-p", "projector-q", "perturbed"],
-    )
-    p_construct.add_argument("--d", type=int, required=True, help="local dimension")
-    p_construct.add_argument("--k", type=int, default=None)
-    p_construct.add_argument("--gamma", type=float, default=None)
-    p_construct.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p_construct.add_argument("--mu", type=float, default=0.0)
-    p_construct.add_argument("--out", required=True, help="output operator file")
-    p_construct.set_defaults(func=_cmd_construct)
+    def command(name: str, help: str, func, dest: str = "kind"):
+        command_parser = sub.add_parser(name, help=help)
+        command_parser.set_defaults(func=func)
+        return command_parser.add_subparsers(dest=dest, required=True)
+
+    w = _option("-w", "--witness", required=True)
+    lam = _option("--lambda", dest="lam", type=float, default=0.0)
+
+    construct = command("construct", "build an operator and write it", _cmd_construct)
+    d = _option("--d", type=int, required=True, help="local dimension")
+    k = _option("--k", type=int, required=True)
+    out = _option("--out", required=True, help="output operator file")
+    _add_kind(construct, "witness", d, k, out)
+    _add_kind(construct, "state", d, _option("--gamma", type=float, required=True), out)
+    _add_kind(construct, "projector-p", d, out)
+    _add_kind(construct, "projector-q", d, out)
+    _add_kind(construct, "perturbed", d, k, lam,
+              _option("--mu", type=float, default=0.0), out)
 
     p_pair = sub.add_parser("pair", help="trace pairing of a witness and a state")
     p_pair.add_argument("witness", help="witness operator file")
     p_pair.add_argument("state", help="state operator file")
     p_pair.set_defaults(func=_cmd_pair)
 
-    p_bounds = sub.add_parser("bounds", help="detection thresholds in closed form")
-    p_bounds.add_argument("kind", choices=["alpha", "lambda", "mu"])
-    p_bounds.add_argument("-w", "--witness", required=True)
-    p_bounds.add_argument("-r", "--rho", required=True, help="detected state file")
-    p_bounds.add_argument("-s", "--sigma-sep", dest="sigma_sep", default=None,
-                          help="declared-separable state file (alpha)")
-    p_bounds.add_argument("-p", default=None, help="PSD perturbation file (lambda/mu)")
-    p_bounds.add_argument("-q", default=None, help="second PSD perturbation file (mu)")
-    p_bounds.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p_bounds.set_defaults(func=_cmd_bounds)
+    bounds = command("bounds", "detection thresholds in closed form", _cmd_bounds)
+    rho = _option("-r", "--rho", required=True, help="detected state file")
+    p = _option("-p", required=True, help="PSD perturbation file")
+    _add_kind(bounds, "alpha", w, rho, _option(
+        "-s", "--sigma-sep", dest="sigma_sep", required=True,
+        help="declared-separable state file"))
+    _add_kind(bounds, "lambda", w, rho, p)
+    _add_kind(bounds, "mu", w, rho, p,
+              _option("-q", required=True, help="second PSD perturbation file"), lam)
 
     p_sweep = sub.add_parser("sweep", help="tabulate pairings over parameter grids")
     p_sweep.add_argument("--d", type=int, required=True)
@@ -285,43 +285,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output CSV file")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_certify = sub.add_parser("certify", help="emit a certificate as JSON")
-    p_certify.add_argument(
-        "kind", choices=["ppt", "indecomposable", "atomic", "blockpos", "ccp"]
-    )
-    p_certify.add_argument("-w", "--witness", default=None)
-    p_certify.add_argument("-s", "--state", default=None)
-    p_certify.add_argument("--sigma", default=None,
-                           help="comma-separated transposition bits, e.g. 0,1")
-    p_certify.add_argument("--restarts", type=int, default=ScanConfig.restarts)
-    p_certify.add_argument("--max-iters", type=int, default=ScanConfig.max_iters)
-    p_certify.add_argument("--conv-tol", type=float, default=ScanConfig.conv_tol)
-    p_certify.add_argument("--seed", type=int, default=None,
-                           help="scan seed (default: EWKIT_SEED or 0)")
-    p_certify.add_argument("--assumption", default=HA_SCHMIDT_ASSUMPTION,
-                           help="external fact recorded by 'atomic'")
-    p_certify.add_argument("--out", default=None, help="also write the JSON here")
-    p_certify.set_defaults(func=_cmd_certify)
+    certify = command("certify", "emit a certificate as JSON", _cmd_certify)
+    state = _option("-s", "--state", required=True)
+    sigma = _option("--sigma", help="comma-separated transposition bits, e.g. 0,1")
+    cert_out = _option("--out", help="also write the JSON here")
+    _add_kind(certify, "ppt", state, sigma, cert_out)
+    _add_kind(certify, "indecomposable", w, state, sigma, cert_out)
+    _add_kind(certify, "atomic", w, state, _option(
+        "--assumption", default=HA_SCHMIDT_ASSUMPTION,
+        help="external fact the certificate records"), cert_out)
+    _add_kind(certify, "blockpos", w,
+              _option("--restarts", type=int, default=ScanConfig.restarts),
+              _option("--max-iters", type=int, default=ScanConfig.max_iters),
+              _option("--conv-tol", type=float, default=ScanConfig.conv_tol),
+              _option("--seed", type=int, default=ScanConfig.seed, help="scan seed"),
+              cert_out)
+    _add_kind(certify, "ccp", w, cert_out)
 
-    p_cj = sub.add_parser("cj", help="Choi-Jamiolkowski transforms")
-    p_cj.add_argument("direction", choices=["to-witness", "to-map"])
-    p_cj.add_argument("-w", "--witness", default=None)
-    p_cj.add_argument("-m", "--map", default=None)
-    p_cj.add_argument("--out", required=True)
-    p_cj.set_defaults(func=_cmd_cj)
+    cj = command("cj", "Choi-Jamiolkowski transforms", _cmd_cj, dest="direction")
+    cj_out = _option("--out", required=True)
+    _add_kind(cj, "to-witness", _option("-m", "--map", required=True), cj_out)
+    _add_kind(cj, "to-map", w, cj_out)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MalformedFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (MalformedFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:

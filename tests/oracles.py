@@ -13,6 +13,7 @@ per-block and per-restart loops.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,22 +71,37 @@ def pinch(x: np.ndarray) -> np.ndarray:
     return np.diag(np.diag(x))
 
 
+@functools.cache
+def _choi_formula_terms(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The units e_ij, their pinches, and the sums over l of their pinched shifts.
+
+    The third array holds the diagonals of sum_{l=1..k} pinch(S^l e_ij S^-l)
+    at [k, i*d + j] for k < d: one pinched shift per (l, e_ij), computed once
+    per d. The entries are small integers, so the prefix sums are exact.
+    """
+    s = shift_operator(d)
+    units = identity_map_units(d)
+    sums = np.zeros((d, d * d, d), dtype=complex)
+    for l in range(1, d):
+        power = np.linalg.matrix_power(s, l)
+        shifted = power @ units @ power.conj().T
+        sums[l] = sums[l - 1] + [np.diag(pinch(y)) for y in shifted]
+    terms = (units, np.array([pinch(x) for x in units]), sums)
+    for array in terms:
+        array.flags.writeable = False
+    return terms
+
+
 def choi_map_formula(d: int, k: int) -> np.ndarray:
     """Images of x -> (d-k) pinch(x) + sum_{l=1..k} pinch(S^l x S^-l) - x on each e_ij.
 
     Stacked as (d^2, d, d) with phi(e_ij) at i*d + j, like LinearMapTable.images.
     """
-    s = shift_operator(d)
-    powers = [np.linalg.matrix_power(s, l) for l in range(k + 1)]
-    images = []
-    for i in range(d):
-        for j in range(d):
-            x = matrix_unit(d, i, j)
-            out = (d - k) * pinch(x) - x
-            for l in range(1, k + 1):
-                out = out + pinch(powers[l] @ x @ powers[l].conj().T)
-            images.append(out)
-    return np.array(images)
+    units, pinched, shift_sums = _choi_formula_terms(d)
+    images = (d - k) * pinched - units
+    diagonal = np.arange(d)
+    images[:, diagonal, diagonal] += shift_sums[k]
+    return images
 
 
 def identity_map_units(d: int) -> np.ndarray:

@@ -394,17 +394,173 @@ class TestCertify:
         assert code == 0
         assert json.loads(out_path.read_text()) == json.loads(out)
 
-    def test_seed_from_environment(self, tmp_path, capsys, w0_path, monkeypatch):
-        monkeypatch.setenv("EWKIT_SEED", "1234")
-        code, out, _ = run(capsys, "certify", "blockpos", "-w", w0_path,
-                           "--restarts", "5")
-        assert code == 0
-        assert json.loads(out)["seed"] == 1234
 
-    def test_missing_operand_exits_2(self, tmp_path, capsys):
-        code, _, err = run(capsys, "certify", "ppt")
+# A valid argv tail for each kind: the options it requires, plus a short scan
+# for blockpos. Values in braces name the files of the `operands` fixture.
+REQUIRED = {
+    ("construct", "witness"): [("--d", "3"), ("--k", "1"), ("--out", "{out}")],
+    ("construct", "state"): [("--d", "3"), ("--gamma", "0.5"), ("--out", "{out}")],
+    ("construct", "projector-p"): [("--d", "3"), ("--out", "{out}")],
+    ("construct", "projector-q"): [("--d", "3"), ("--out", "{out}")],
+    ("construct", "perturbed"): [("--d", "3"), ("--k", "1"), ("--out", "{out}")],
+    ("bounds", "alpha"): [("-w", "{w}"), ("-r", "{rho}"), ("-s", "{sep}")],
+    ("bounds", "lambda"): [("-w", "{w}"), ("-r", "{rho}"), ("-p", "{p}")],
+    ("bounds", "mu"): [("-w", "{w}"), ("-r", "{rho}"), ("-p", "{p}"), ("-q", "{q}")],
+    ("certify", "ppt"): [("-s", "{rho}")],
+    ("certify", "indecomposable"): [("-w", "{w}"), ("-s", "{rho}")],
+    ("certify", "atomic"): [("-w", "{w}"), ("-s", "{rho}")],
+    ("certify", "blockpos"): [("-w", "{w}"), ("--restarts", "2"), ("--max-iters", "2")],
+    ("certify", "ccp"): [("-w", "{w}")],
+    ("cj", "to-map"): [("-w", "{w}"), ("--out", "{out}")],
+    ("cj", "to-witness"): [("-m", "{map}"), ("--out", "{out}")],
+}
+
+# Every option the command declared for some kind, with a value to pass it.
+STRAY_VALUES = {
+    "--k": "1", "--gamma": "0.5", "--lambda": "0.1", "--mu": "0.05",
+    "-w": "{w}", "-s": "{rho}", "-p": "{p}", "-q": "{q}", "-m": "{map}",
+    "--sigma": "1,0", "--restarts": "5", "--max-iters": "5", "--conv-tol": "1e-9",
+    "--seed": "7", "--assumption": "x",
+}
+
+# The 50 (command, kind, option) triples whose option only other kinds read.
+IGNORED = [
+    *[("construct", "witness", o) for o in ("--gamma", "--lambda", "--mu")],
+    *[("construct", "state", o) for o in ("--k", "--lambda", "--mu")],
+    *[("construct", "projector-p", o) for o in ("--k", "--gamma", "--lambda", "--mu")],
+    *[("construct", "projector-q", o) for o in ("--k", "--gamma", "--lambda", "--mu")],
+    ("construct", "perturbed", "--gamma"),
+    *[("bounds", "alpha", o) for o in ("-p", "-q", "--lambda")],
+    *[("bounds", "lambda", o) for o in ("-s", "-q", "--lambda")],
+    ("bounds", "mu", "-s"),
+    *[("certify", "ppt", o) for o in ("-w", "--restarts", "--max-iters", "--conv-tol",
+                                      "--seed", "--assumption")],
+    *[("certify", "indecomposable", o) for o in ("--restarts", "--max-iters",
+                                                 "--conv-tol", "--seed", "--assumption")],
+    *[("certify", "atomic", o) for o in ("--sigma", "--restarts", "--max-iters",
+                                         "--conv-tol", "--seed")],
+    *[("certify", "blockpos", o) for o in ("-s", "--sigma", "--assumption")],
+    *[("certify", "ccp", o) for o in ("-s", "--sigma", "--restarts", "--max-iters",
+                                      "--conv-tol", "--seed", "--assumption")],
+    ("cj", "to-map", "-m"),
+    ("cj", "to-witness", "-w"),
+]
+
+# The options a kind needs, each as argparse names it when it is left out.
+MISSING = [
+    ("construct", "witness", "--k", "--k"),
+    ("construct", "state", "--gamma", "--gamma"),
+    ("construct", "perturbed", "--k", "--k"),
+    ("bounds", "alpha", "-s", "-s/--sigma-sep"),
+    ("bounds", "lambda", "-p", "-p"),
+    ("bounds", "mu", "-p", "-p"),
+    ("bounds", "mu", "-q", "-q"),
+    ("certify", "ppt", "-s", "-s/--state"),
+    ("certify", "indecomposable", "-w", "-w/--witness"),
+    ("certify", "indecomposable", "-s", "-s/--state"),
+    ("certify", "atomic", "-w", "-w/--witness"),
+    ("certify", "atomic", "-s", "-s/--state"),
+    ("certify", "blockpos", "-w", "-w/--witness"),
+    ("certify", "ccp", "-w", "-w/--witness"),
+    ("cj", "to-map", "-w", "-w/--witness"),
+    ("cj", "to-witness", "-m", "-m/--map"),
+]
+
+
+@pytest.fixture(scope="module")
+def operands(tmp_path_factory):
+    from ewkit import (
+        bipartite,
+        dejamiolkowski,
+        ha_state,
+        maximally_mixed,
+        projector_p,
+        projector_q,
+        write_map_table,
+        write_operator,
+    )
+
+    root = tmp_path_factory.mktemp("operands")
+    files = {name: str(root / f"{name}.json") for name in ("w", "rho", "sep", "p", "q", "map")}
+    write_operator(files["w"], witness_dk(3, 1))
+    write_operator(files["rho"], ha_state(3, 0.5))
+    write_operator(files["sep"], maximally_mixed(bipartite(3)))
+    write_operator(files["p"], projector_p(3))
+    write_operator(files["q"], projector_q(3))
+    write_map_table(files["map"], dejamiolkowski(witness_dk(3, 1)))
+    return files
+
+
+def exit_status(capsys, argv):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    captured = capsys.readouterr()
+    return raised.value.code, captured.out, captured.err
+
+
+class TestOptionsPerKind:
+    """Each kind accepts exactly the options it reads; argparse enforces both ways."""
+
+    def test_tables_cover_every_kind(self):
+        assert len(REQUIRED) == 15
+        assert len(IGNORED) == 50
+        assert {case[:2] for case in IGNORED} == set(REQUIRED)
+        assert {case[:2] for case in MISSING} <= set(REQUIRED)
+
+    @pytest.mark.parametrize("command, kind, option", IGNORED,
+                             ids=["-".join(case) for case in IGNORED])
+    def test_unread_option_exits_2(self, tmp_path, capsys, operands, command, kind, option):
+        files = {**operands, "out": str(tmp_path / "out.json")}
+        pairs = [*REQUIRED[command, kind], (option, STRAY_VALUES[option])]
+        argv = [command, kind, *(part.format(**files) for pair in pairs for part in pair)]
+        code, out, err = exit_status(capsys, argv)
         assert code == 2
-        assert "missing required option" in err
+        assert out == ""
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command, kind, option, name", MISSING,
+                             ids=["-".join(case[:3]) for case in MISSING])
+    def test_missing_required_option_exits_2(self, tmp_path, capsys, operands,
+                                             command, kind, option, name):
+        files = {**operands, "out": str(tmp_path / "out.json")}
+        pairs = [pair for pair in REQUIRED[command, kind] if pair[0] != option]
+        argv = [command, kind, *(part.format(**files) for pair in pairs for part in pair)]
+        code, out, err = exit_status(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"the following arguments are required: {name}" in err
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestParserReuse:
+    """The parser is built once per process; no parse leaks into the next."""
+
+    def test_main_does_not_rebuild_the_parser(self, capsys, w0_path):
+        run(capsys, "pair", w0_path, w0_path)
+        misses = build_parser.cache_info().misses
+        run(capsys, "pair", w0_path, w0_path)
+        assert build_parser.cache_info().misses == misses
+        assert build_parser() is build_parser()
+
+    def test_seed_reverts_to_default(self, capsys, w0_path):
+        seeds = []
+        for extra in (["--seed", "7"], []):
+            code, out, _ = run(capsys, "certify", "blockpos", "-w", w0_path,
+                               "--restarts", "2", "--max-iters", "2", *extra)
+            assert code == 0
+            seeds.append(json.loads(out)["seed"])
+        assert seeds == [7, 0]
+
+    def test_lambda_reverts_to_default(self, tmp_path, capsys):
+        lambdas = []
+        for extra in (["--lambda", "0.1"], []):
+            path = tmp_path / "wp.json"
+            code, _, _ = run(capsys, "construct", "perturbed", "--d", "3", "--k", "1",
+                             *extra, "--out", str(path))
+            assert code == 0
+            lambdas.append(read_operator(str(path))[1]["lambda"])
+        assert lambdas == [0.1, 0.0]
 
 
 class TestCj:
