@@ -29,6 +29,10 @@ from .core import (
 #: violations rather than round-off.
 NEGATIVITY_CUTOFF = -1e-8
 
+#: A scan restart stops once one alternating step moves its objective by at
+#: most this much relative to max(1, |value|).
+SCAN_CONV_TOL = 1e-12
+
 #: Largest distance revalidate() accepts between a stored evidence float and
 #: the value its producer recomputes, by evidence key ("default" for the
 #: traces and every key not named). Lists are compared entry by entry. A
@@ -79,14 +83,11 @@ class ScanConfig:
 
     restarts: int = 100
     max_iters: int = 500
-    conv_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
-        if self.conv_tol <= 0:
-            raise ValueError("conv_tol must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -213,7 +214,7 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
     All restarts advance together: each half-step contracts W with the
     stacked outer products of the restarts still running in one matmul and
     solves their eigenproblems in one batched eigh. A restart leaves the
-    stack once its objective moved by at most conv_tol over its last step;
+    stack once its objective moved by at most SCAN_CONV_TOL over its last step;
     those still running after max_iters steps are counted as unconverged.
 
     Verdict True means no product vector below NEGATIVITY_CUTOFF was found
@@ -244,13 +245,13 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
         for r, vx, vy in zip(active.tolist(), val_x.tolist(), val_y.tolist()):
             histories[r] += (vx, vy)
         scale = np.maximum(1.0, np.abs(val_y))
-        converged = np.abs(last[active] - val_y) <= config.conv_tol * scale
+        converged = np.abs(last[active] - val_y) <= SCAN_CONV_TOL * scale
         last[active] = val_y
         active = active[~converged]
         if not active.size:
             break
 
-    summary = _history_summary(histories, config.max_iters, config.conv_tol)
+    summary = _history_summary(histories, config.max_iters)
     best_restart = summary["best_restart"]
     x, y = xs[best_restart], ys[best_restart]
     evidence = {
@@ -259,7 +260,7 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
         "cutoff": NEGATIVITY_CUTOFF,
         "restarts": config.restarts,
         "max_iters": config.max_iters,
-        "conv_tol": config.conv_tol,
+        "conv_tol": SCAN_CONV_TOL,
         "seed": config.seed,
         "best_restart": best_restart,
         "unconverged_restarts": summary["unconverged_restarts"],
@@ -278,14 +279,12 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
     )
 
 
-def _history_summary(
-    histories: list[list[float]], max_iters: int, conv_tol: float
-) -> dict[str, Any]:
+def _history_summary(histories: list[list[float]], max_iters: int) -> dict[str, Any]:
     """The scan evidence that follows from the per-restart objective histories.
 
     The best restart is the first with the lowest final value. A restart is
     unconverged when it took max_iters steps and its last step still moved
-    the objective by more than conv_tol * max(1, |final value|).
+    the objective by more than SCAN_CONV_TOL * max(1, |final value|).
     """
     finals = [h[-1] for h in histories]
     best = int(np.argmin(finals))
@@ -294,7 +293,7 @@ def _history_summary(
         "best_restart": best,
         "unconverged_restarts": sum(
             (len(h) - 1) // 2 == max_iters
-            and abs(h[-3] - h[-1]) > conv_tol * max(1.0, abs(h[-1]))
+            and abs(h[-3] - h[-1]) > SCAN_CONV_TOL * max(1.0, abs(h[-1]))
             for h in histories
         ),
         "max_step_increase": float(max(np.diff(h).max() for h in histories)),
@@ -312,11 +311,12 @@ def _scan_consistent(cert: Certificate) -> bool:
     # every restart takes at least one step: its start value, then x and y
     if len(histories) != ev["restarts"] or min(map(len, histories), default=0) < 3:
         return False
-    summary = _history_summary(histories, ev["max_iters"], ev["conv_tol"])
+    summary = _history_summary(histories, ev["max_iters"])
     return (
         abs(value - ev["product_value"]) <= REVALIDATE_TOL["product_value"]
         and abs(ev["minimum"] - value) <= REVALIDATE_TOL["minimum"] * max(1.0, abs(value))
         and ev["cutoff"] == NEGATIVITY_CUTOFF
+        and ev["conv_tol"] == SCAN_CONV_TOL
         and (value >= NEGATIVITY_CUTOFF) == cert.verdict
         and all(ev[key] == summary[key] for key in summary)
     )

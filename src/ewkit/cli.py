@@ -186,8 +186,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         cert = certify_atomic_conditional(w, rho, args.assumption)
     elif kind == "blockpos":
         w, _ = read_operator(args.witness)
-        config = ScanConfig(restarts=args.restarts, max_iters=args.max_iters,
-                            conv_tol=args.conv_tol, seed=args.seed)
+        config = ScanConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
         cert = blockpos_scan(w, config)
         unconverged = cert.evidence["unconverged_restarts"]
         if unconverged:
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kind(certify, "blockpos", w,
               _option("--restarts", type=int, default=ScanConfig.restarts),
               _option("--max-iters", type=int, default=ScanConfig.max_iters),
-              _option("--conv-tol", type=float, default=ScanConfig.conv_tol),
               _option("--seed", type=int, default=ScanConfig.seed, help="scan seed"),
               cert_out)
     _add_kind(certify, "ccp", w, cert_out)

@@ -9,14 +9,11 @@ entries exactly as usually printed; states carry unit trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HermitianOp, TensorSpace, bipartite, is_psd
-
-#: Hermiticity-preservation gate for map tables: phi(e_ij)^dag == phi(e_ji).
-MAP_HERMITICITY_TOL = 1e-12
+from .core import HERMITICITY_RTOL, HermitianOp, TensorSpace, bipartite, is_psd
 
 #: How far from one the weights of a convex combination may sum.
 WEIGHT_SUM_TOL = 1e-12
@@ -64,35 +61,52 @@ class StateFamilyParams:
 
 @dataclass(frozen=True, eq=False)
 class LinearMapTable:
-    """A linear map M_{d_in} -> M_{d_out} tabulated on the matrix units.
+    """A linear map M_{d_in} -> M_{d_out}, held as its Choi operator on (d_in, d_out).
 
-    images[i*d_in + j] holds phi(e_ij); the images are stored as one
-    read-only (d_in^2, d_out, d_out) array, the Choi-Jamiolkowski blocks in
-    row-major order. The table must be Hermiticity preserving:
-    phi(e_ij)^dag == phi(e_ji) entrywise. Tables compare and hash by identity.
+    choi = sum_ij e_ij x phi(e_ij) is Hermitian exactly when the map preserves
+    Hermiticity, so the HermitianOp gate is the map's gate. images[i*d_in + j]
+    is phi(e_ij), block (i, j) of choi, in one read-only (d_in^2, d_out, d_out)
+    array. Tables compare and hash by identity.
     """
 
-    d_in: int
-    d_out: int
-    images: np.ndarray
+    choi: HermitianOp
+    d_in: int = field(init=False)
+    d_out: int = field(init=False)
+    images: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        units = np.array(self.images, dtype=complex)
-        shape = (self.d_in**2, self.d_out, self.d_out)
+        if self.choi.space.nparts != 2:
+            raise ValueError(f"expected a bipartite space, got {self.choi.space.dims}")
+        d_in, d_out = self.choi.space.dims
+        blocks = self.choi.matrix.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
+        images = blocks.reshape(-1, d_out, d_out)  # a copy: blocks is not contiguous
+        images.setflags(write=False)
+        for name, value in (("d_in", d_in), ("d_out", d_out), ("images", images)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_images(cls, d_in: int, d_out: int, images) -> "LinearMapTable":
+        """The table with phi(e_ij) = images[i*d_in + j], gated as its Choi operator.
+
+        If the gate rejects, names the first (i, j) with phi(e_ij)^dag != phi(e_ji).
+        """
+        space = TensorSpace((d_in, d_out))
+        units = np.asarray(images, dtype=complex)
+        shape = (d_in**2, d_out, d_out)
         if units.shape != shape:
             raise ValueError(f"images must stack to shape {shape}, got {units.shape}")
-        units.setflags(write=False)
-        object.__setattr__(self, "images", units)
-        # dev[i, j] = max |phi(e_ij)^dag - phi(e_ji)|, for every (i, j) at once
-        blocks = units.reshape(self.d_in, self.d_in, self.d_out, self.d_out)
-        dev = np.abs(blocks.conj().transpose(1, 0, 3, 2) - blocks).max(axis=(2, 3))
-        bad = np.argwhere(dev > MAP_HERMITICITY_TOL)
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(
-                f"map is not Hermiticity preserving at ({i},{j}): "
-                f"deviation {dev[i, j]:.3e}"
-            )
+        blocks = units.reshape(d_in, d_in, d_out, d_out)
+        try:
+            choi = HermitianOp(space, blocks.transpose(0, 2, 1, 3).reshape(space.total, -1))
+        except ValueError:
+            if not np.isfinite(units).all():
+                raise
+            # finite: some dev[i, j] = max |phi(e_ij)^dag - phi(e_ji)| exceeds the bound
+            dev = np.abs(blocks.conj().transpose(1, 0, 3, 2) - blocks).max(axis=(2, 3))
+            i, j = np.argwhere(dev > HERMITICITY_RTOL * max(1.0, np.abs(units).max()))[0]
+            raise ValueError(f"map is not Hermiticity preserving at ({i},{j}): "
+                             f"deviation {dev[i, j]:.3e}") from None
+        return cls(choi)
 
     def image(self, i: int, j: int) -> np.ndarray:
         """phi(e_ij) for 0 <= i, j < d_in."""
@@ -148,38 +162,23 @@ def choi_map(d: int, k: int) -> LinearMapTable:
 
 def identity_map(d: int) -> LinearMapTable:
     """Tabulated identity map on M_d: phi(e_ij) is unit vector i*d + j, reshaped."""
-    return LinearMapTable(d, d, np.eye(d * d, dtype=complex).reshape(d * d, d, d))
+    return LinearMapTable.from_images(d, d, np.eye(d * d).reshape(d * d, d, d))
 
 
 def transpose_map(d: int) -> LinearMapTable:
     """Tabulated transposition map on M_d: the identity's images, each transposed."""
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return LinearMapTable(d, d, units.transpose(0, 2, 1))
+    return LinearMapTable.from_images(d, d, units.transpose(0, 2, 1))
 
 
 def jamiolkowski(table: LinearMapTable) -> HermitianOp:
-    """Bipartite operator sum_ij e_ij x phi(e_ij) of a tabulated map.
-
-    Block (i, j) of the result is phi(e_ij), so the whole sum is one reshape
-    of the stored images.
-    """
-    d_in, d_out = table.d_in, table.d_out
-    n = d_in * d_out
-    blocks = table.images.reshape(d_in, d_in, d_out, d_out)
-    w = blocks.transpose(0, 2, 1, 3).reshape(n, n)
-    return HermitianOp(TensorSpace((d_in, d_out)), w)
+    """Bipartite operator sum_ij e_ij x phi(e_ij) of a tabulated map: its Choi operator."""
+    return table.choi
 
 
 def dejamiolkowski(w: HermitianOp) -> LinearMapTable:
-    """Invert the block assembly: phi(e_ij) is block (i, j) of w.
-
-    Requires a bipartite space; jamiolkowski(dejamiolkowski(w)) == w exactly.
-    """
-    if w.space.nparts != 2:
-        raise ValueError(f"expected a bipartite space, got {w.space.dims}")
-    d_in, d_out = w.space.dims
-    blocks = w.matrix.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
-    return LinearMapTable(d_in, d_out, blocks.reshape(-1, d_out, d_out))
+    """The map whose Choi operator is the bipartite w: phi(e_ij) is block (i, j)."""
+    return LinearMapTable(w)
 
 
 def ha_state(d: int, gamma: float) -> HermitianOp:

@@ -156,10 +156,6 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
     @property
-    def max(self) -> float:
-        return float(self.eigenvalues[-1])
-
-    @property
     def psd_tolerance(self) -> float:
         """How far below zero a PSD spectrum may reach: PSD_RTOL * max(1, max |eig|)."""
         return PSD_RTOL * max(1.0, float(np.abs(self.eigenvalues).max()))

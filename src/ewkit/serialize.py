@@ -128,7 +128,7 @@ def map_table_from_json_dict(doc: Any) -> LinearMapTable:
         images.append(_matrix_from_lists(entry["re"], entry["im"], d_out))
     # a Hermiticity-preservation violation is an invalid map, not a malformed
     # file; let LinearMapTable's ValueError propagate
-    return LinearMapTable(d_in=d_in, d_out=d_out, images=tuple(images))
+    return LinearMapTable.from_images(d_in, d_out, images)
 
 
 def write_map_table(path: str, table: LinearMapTable) -> None:

@@ -29,7 +29,7 @@ from ewkit import (
     trace_pair,
     witness_dk,
 )
-from ewkit.certify import NEGATIVITY_CUTOFF, _haar_product_start
+from ewkit.certify import NEGATIVITY_CUTOFF, SCAN_CONV_TOL, _haar_product_start
 from ewkit.core import DETECTION_TOL
 
 
@@ -366,9 +366,7 @@ def blockpos_scan_serial(w: HermitianOp, config: ScanConfig) -> dict:
             history.append(val_x)
             val_y, y = min_eigvec(np.einsum("i,ijkl,k->jl", x.conj(), w4, x))
             history.append(val_y)
-            if abs(history[-3] - history[-1]) <= config.conv_tol * max(
-                1.0, abs(history[-1])
-            ):
+            if abs(history[-3] - history[-1]) <= SCAN_CONV_TOL * max(1.0, abs(history[-1])):
                 break
         histories.append(history)
     finals = [h[-1] for h in histories]

@@ -32,6 +32,7 @@ from ewkit import (
     witness_dk,
     witness_from_difference,
 )
+from ewkit.certify import SCAN_CONV_TOL
 
 from oracles import blockpos_scan_serial, product_grid_minimum, random_hermitian
 
@@ -258,7 +259,7 @@ class TestBlockposScan:
             evidence = cert.evidence
             recount = sum(
                 (len(h) - 1) // 2 == max_iters
-                and abs(h[-3] - h[-1]) > config.conv_tol * max(1.0, abs(h[-1]))
+                and abs(h[-3] - h[-1]) > SCAN_CONV_TOL * max(1.0, abs(h[-1]))
                 for h in evidence["histories"]
             )
             assert evidence["unconverged_restarts"] == recount
@@ -266,8 +267,6 @@ class TestBlockposScan:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScanConfig(restarts=0)
-        with pytest.raises(ValueError):
-            ScanConfig(conv_tol=0.0)
         with pytest.raises(ValueError):
             ScanConfig(seed=-1)
 
@@ -293,10 +292,10 @@ def _scan_equivalence_cases():
     return cases
 
 
-def _at_round_off_tie(history, conv_tol):
+def _at_round_off_tie(history):
     """Whether the convergence test at the end of history is decided by round-off."""
     scale = max(1.0, abs(history[-1]))
-    gap = abs(history[-3] - history[-1]) - conv_tol * scale
+    gap = abs(history[-3] - history[-1]) - SCAN_CONV_TOL * scale
     return abs(gap) <= 1e-13 * scale
 
 
@@ -313,11 +312,11 @@ class TestBlockposScanMatchesSerialOracle:
         assert len(stacked_h) == len(oracle["histories"]) == config.restarts
         for ours, theirs in zip(stacked_h, oracle["histories"]):
             # the two paths sum in different orders, so a restart whose step
-            # change lands within round-off of conv_tol may stop one step
+            # change lands within round-off of SCAN_CONV_TOL may stop one step
             # apart; every other restart takes the same number of steps
             if len(ours) != len(theirs):
                 shorter = theirs[: min(len(ours), len(theirs))]
-                assert _at_round_off_tie(shorter, config.conv_tol)
+                assert _at_round_off_tie(shorter)
             assert ours[-1] == pytest.approx(theirs[-1], abs=1e-10)
         assert cert.verdict == oracle["verdict"]
         assert cert.evidence["minimum"] == pytest.approx(oracle["minimum"], abs=1e-10)
@@ -421,6 +420,14 @@ class TestRevalidate:
         # the violating value -1/3 clears a lowered cutoff
         cert = blockpos_scan(violating_candidate(), ScanConfig(restarts=10, seed=2))
         forged = replace(cert, verdict=True, evidence={**cert.evidence, "cutoff": -1.0})
+        assert not revalidate(forged)
+
+    def test_forged_blockpos_conv_tol_rejected(self):
+        # every restart converged, so a looser tolerance leaves the counts as they are
+        cert = blockpos_scan(violating_candidate(), ScanConfig(restarts=10, seed=2))
+        assert cert.evidence["conv_tol"] == SCAN_CONV_TOL
+        assert cert.evidence["unconverged_restarts"] == 0 and revalidate(cert)
+        forged = replace(cert, evidence={**cert.evidence, "conv_tol": 1e-9})
         assert not revalidate(forged)
 
     def test_unknown_kind_rejected(self):

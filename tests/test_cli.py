@@ -72,8 +72,8 @@ class TestParseHelpers:
     def test_scan_defaults_come_from_scan_config(self):
         args = build_parser().parse_args(["certify", "blockpos", "-w", "w.json"])
         config = ScanConfig()
-        assert (args.restarts, args.max_iters, args.conv_tol) == (
-            config.restarts, config.max_iters, config.conv_tol
+        assert (args.restarts, args.max_iters, args.seed) == (
+            config.restarts, config.max_iters, config.seed
         )
 
     def test_sigma_bits(self):
@@ -171,6 +171,20 @@ class TestBounds:
                            "-r", rho)
         assert code == 0
         assert out.strip() == "0.133975"
+
+    def test_lambda_infinite_when_p_in_kernel(self, tmp_path, capsys, w0_path):
+        from ewkit import HermitianOp, bipartite, write_operator
+
+        # (|00> - |11>)/sqrt 2 lies in the kernel of the Ha state's comb block
+        vec = np.zeros(9, dtype=complex)
+        vec[0], vec[4] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        p = tmp_path / "p.json"
+        write_operator(str(p), HermitianOp(bipartite(3), np.outer(vec, vec.conj())))
+        rho = state_path(tmp_path, capsys, 0.5)
+        code, out, _ = run(capsys, "bounds", "lambda", "-w", w0_path, "-p", str(p),
+                           "-r", rho)
+        assert code == 0
+        assert out == "infinite\n"
 
     def test_alpha_value(self, tmp_path, capsys, w0_path):
         from ewkit import bipartite, maximally_mixed, write_operator
@@ -415,7 +429,8 @@ REQUIRED = {
     ("cj", "to-witness"): [("-m", "{map}"), ("--out", "{out}")],
 }
 
-# Every option the command declared for some kind, with a value to pass it.
+# Every option the command declares for some kind, and the removed --conv-tol,
+# with a value to pass it.
 STRAY_VALUES = {
     "--k": "1", "--gamma": "0.5", "--lambda": "0.1", "--mu": "0.05",
     "-w": "{w}", "-s": "{rho}", "-p": "{p}", "-q": "{q}", "-m": "{map}",
@@ -423,7 +438,7 @@ STRAY_VALUES = {
     "--seed": "7", "--assumption": "x",
 }
 
-# The 50 (command, kind, option) triples whose option only other kinds read.
+# The 51 (command, kind, option) triples whose option the kind does not read.
 IGNORED = [
     *[("construct", "witness", o) for o in ("--gamma", "--lambda", "--mu")],
     *[("construct", "state", o) for o in ("--k", "--lambda", "--mu")],
@@ -439,7 +454,7 @@ IGNORED = [
                                                  "--conv-tol", "--seed", "--assumption")],
     *[("certify", "atomic", o) for o in ("--sigma", "--restarts", "--max-iters",
                                          "--conv-tol", "--seed")],
-    *[("certify", "blockpos", o) for o in ("-s", "--sigma", "--assumption")],
+    *[("certify", "blockpos", o) for o in ("-s", "--sigma", "--assumption", "--conv-tol")],
     *[("certify", "ccp", o) for o in ("-s", "--sigma", "--restarts", "--max-iters",
                                       "--conv-tol", "--seed", "--assumption")],
     ("cj", "to-map", "-m"),
@@ -503,7 +518,7 @@ class TestOptionsPerKind:
 
     def test_tables_cover_every_kind(self):
         assert len(REQUIRED) == 15
-        assert len(IGNORED) == 50
+        assert len(IGNORED) == 51
         assert {case[:2] for case in IGNORED} == set(REQUIRED)
         assert {case[:2] for case in MISSING} <= set(REQUIRED)
 

@@ -190,13 +190,25 @@ class TestJamiolkowski:
         images = [matrix_unit(3, i, j) for i in range(3) for j in range(3)]
         images[5] = 2 * images[5]  # phi(e_12)^dag != phi(e_21), and the reverse
         with pytest.raises(ValueError, match=r"at \(1,2\): deviation 1\.000e\+00"):
-            LinearMapTable(d_in=3, d_out=3, images=tuple(images))
+            LinearMapTable.from_images(3, 3, images)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_image_rejected_at_construction(self, value):
+        images = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]
+        images[0][0, 0] = value  # on the diagonal, where phi(e_00)^dag meets itself
+        with pytest.raises(ValueError, match="finite"):
+            LinearMapTable.from_images(2, 2, images)
+
+    def test_local_dimensions_checked_before_the_gate(self):
+        with pytest.raises(ValueError, match=">= 2"):
+            LinearMapTable.from_images(1, 2, np.zeros((1, 2, 2)))
 
     def test_hermiticity_preservation_enforced(self):
         images = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]
         images[1] = 2 * images[1]  # phi(e_01)^dag != phi(e_10)
         with pytest.raises(ValueError, match="Hermiticity"):
-            LinearMapTable(d_in=2, d_out=2, images=tuple(images))
+            LinearMapTable.from_images(2, 2, images)
 
     def test_image_indices_checked(self):
         table = identity_map(3)
@@ -207,6 +219,13 @@ class TestJamiolkowski:
 
 
 class TestDejamiolkowski:
+    def test_table_holds_the_operator_itself(self):
+        w = witness_dk(3, 1)
+        table = dejamiolkowski(w)
+        assert table.choi is w
+        assert jamiolkowski(table) is w
+        assert not table.images.flags.writeable
+
     def test_round_trip_exact(self):
         rng = np.random.default_rng(9)
         op = HermitianOp(bipartite(3), random_hermitian(rng, 9))

@@ -60,6 +60,13 @@ class TestHermitianOp:
         with pytest.raises(ValueError, match="shape"):
             HermitianOp(bipartite(2), np.eye(5, dtype=complex))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entry(self, value):
+        m = np.eye(4, dtype=complex)
+        m[2, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            HermitianOp(bipartite(2), m)
+
     def test_matrix_is_read_only(self):
         op = HermitianOp(bipartite(2), np.eye(4, dtype=complex))
         with pytest.raises(ValueError):

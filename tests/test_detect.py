@@ -169,6 +169,13 @@ class TestMuThreshold:
         assert mu_threshold(w0, p, q, lam_max, rho) is None
         assert mu_threshold(w0, p, q, lam_max + 0.1, rho) is None
 
+    @pytest.mark.parametrize("which", ["P", "Q"])
+    def test_non_psd_perturbation_rejected(self, w0, which):
+        bad = HermitianOp(w0.space, np.diag([1.0] * 8 + [-1.0]).astype(complex))
+        p, q = (bad, projector_q(3)) if which == "P" else (projector_p(3), bad)
+        with pytest.raises(ValueError, match=f"{which} must be PSD"):
+            mu_threshold(w0, p, q, 0.0, ha_state(3, 0.5))
+
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.1])
     def test_rejects_non_finite_or_negative_lambda(self, w0, lam):
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
@@ -303,6 +310,13 @@ class TestMixingFamilyAndSampling:
         with pytest.raises(ValueError, match="open interval"):
             sample_sppt(family, [-0.01])
 
+    def test_undetected_family_cannot_be_sampled(self):
+        w0 = witness_dk(3, 1)
+        family = mixing_family(w0, ha_state(3, 1.0), maximally_mixed(w0.space))
+        assert family.alpha_threshold is None
+        with pytest.raises(ValueError, match="no detection threshold"):
+            sample_sppt(family, [0.0])
+
     def test_family_requires_unit_traces(self):
         w0 = witness_dk(3, 1)
         with pytest.raises(ValueError, match="unit trace"):
@@ -354,6 +368,12 @@ class TestPerturbationFamilyAndSampling:
         family = self.make_family()
         with pytest.raises(ValueError, match="open interval"):
             sample_wind(family, [family.lambda_threshold])
+
+    def test_undetected_family_cannot_be_sampled(self):
+        family = perturbation_family(witness_dk(3, 1), projector_p(3), ha_state(3, 1.0))
+        assert family.lambda_threshold is None
+        with pytest.raises(ValueError, match="no detection threshold"):
+            sample_wind(family, [0.0])
 
 
 class TestChainPair:

@@ -15,7 +15,9 @@ from ewkit import (
     certificate_to_json_dict,
     certify_ppt,
     choi_map,
+    dejamiolkowski,
     ha_state,
+    jamiolkowski,
     read_map_table,
     read_operator,
     sweep,
@@ -25,8 +27,71 @@ from ewkit import (
     write_operator,
     write_sweep_csv,
 )
+from ewkit.cli import main
 
 from oracles import random_hermitian, sweep_rows, sweep_rows_csv
+
+EYE_4 = np.eye(4).tolist()
+ZERO_4 = np.zeros((4, 4)).tolist()
+ZERO_2 = [[0, 0], [0, 0]]
+
+# Operator documents that are not operators, each with what its error names.
+BAD_OPERATOR_DOCS = {
+    "not_an_object": ([1, 2], "JSON object"),
+    "no_dims": ({"re": EYE_4, "im": ZERO_4}, "dims"),
+    "dims_not_a_list": ({"dims": 4, "re": EYE_4, "im": ZERO_4}, "dims"),
+    "dims_not_numbers": ({"dims": ["a", "b"], "re": EYE_4, "im": ZERO_4}, "dims"),
+    "dim_below_two": ({"dims": [1, 4], "re": EYE_4, "im": ZERO_4}, ">= 2"),
+    "re_not_numeric": ({"dims": [2, 2], "re": [["x"] * 4] * 4, "im": ZERO_4}, "numeric"),
+    "im_not_numeric": ({"dims": [2, 2], "re": EYE_4, "im": "none"}, "numeric"),
+    "meta_not_an_object": ({"dims": [2, 2], "re": EYE_4, "im": ZERO_4, "meta": [1]},
+                           "meta"),
+}
+
+# Map-table documents that are not map tables, each with what its error names.
+BAD_MAP_DOCS = {
+    "not_an_object": ("images", "JSON object"),
+    "no_d_in": ({"d_out": 2, "images": []}, "d_in"),
+    "no_d_out": ({"d_in": 2, "images": []}, "d_out"),
+    "no_images": ({"d_in": 2, "d_out": 2}, "images"),
+    "image_without_im": ({"d_in": 2, "d_out": 2, "images": [{"re": ZERO_2}] * 4},
+                         "re and im"),
+    "image_not_an_object": ({"d_in": 2, "d_out": 2, "images": [ZERO_2] * 4}, "re and im"),
+}
+
+
+def _write_doc(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _accepts(read, path: str) -> bool:
+    try:
+        read(path)
+    except ValueError:
+        return False
+    return True
+
+
+def _nearly_preserving_images(scale: float, nudge: float) -> np.ndarray:
+    """The Choi map's images times scale, phi(e_01)[0, 1] moved by scale * nudge."""
+    images = dejamiolkowski(witness_dk(3, 1)).images * scale
+    images[1, 0, 1] += scale * nudge
+    return images
+
+
+def _map_doc(images: np.ndarray) -> dict:
+    d_out = images.shape[1]
+    d_in = math.isqrt(len(images))
+    entries = [{"re": img.real.tolist(), "im": img.imag.tolist()} for img in images]
+    return {"d_in": d_in, "d_out": d_out, "images": entries}
+
+
+def _choi_doc(images: np.ndarray) -> dict:
+    """The operator document of sum_ij e_ij x images[i*d + j], blocks laid out by hand."""
+    d_in, d_out = math.isqrt(len(images)), images.shape[1]
+    choi = np.block([[images[i * d_in + j] for j in range(d_in)] for i in range(d_in)])
+    return {"dims": [d_in, d_out], "re": choi.real.tolist(), "im": choi.imag.tolist()}
 
 
 class TestOperatorRoundTrip:
@@ -83,6 +148,17 @@ class TestOperatorRoundTrip:
         with pytest.raises(MalformedFileError, match="Hermiticity"):
             read_operator(str(path))
 
+    @pytest.mark.parametrize("name", BAD_OPERATOR_DOCS)
+    def test_bad_document_rejected_and_pair_exits_3(self, tmp_path, capsys, name):
+        doc, message = BAD_OPERATOR_DOCS[name]
+        path = _write_doc(tmp_path / "bad.json", doc)
+        with pytest.raises(MalformedFileError, match=message):
+            read_operator(path)
+        good = tmp_path / "w.json"
+        write_operator(str(good), HermitianOp(bipartite(2), np.eye(4, dtype=complex)))
+        assert main(["pair", str(good), path]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestMapTableRoundTrip:
     def test_choi_map_round_trip(self, tmp_path):
@@ -100,6 +176,37 @@ class TestMapTableRoundTrip:
         path.write_text(json.dumps({"d_in": 2, "d_out": 2, "images": []}))
         with pytest.raises(MalformedFileError, match="images"):
             read_map_table(str(path))
+
+    @pytest.mark.parametrize("name", BAD_MAP_DOCS)
+    def test_bad_document_rejected_and_to_witness_exits_3(self, tmp_path, capsys, name):
+        doc, message = BAD_MAP_DOCS[name]
+        path = _write_doc(tmp_path / "map.json", doc)
+        with pytest.raises(MalformedFileError, match=message):
+            read_map_table(path)
+        out = tmp_path / "w.json"
+        assert main(["cj", "to-witness", "-m", path, "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("nudge, accepted", [(1e-14, True), (1e-6, False)])
+    def test_map_gate_is_the_operator_gate_at_every_scale(self, tmp_path, scale, nudge,
+                                                          accepted):
+        images = _nearly_preserving_images(scale, nudge)
+        map_path = _write_doc(tmp_path / "map.json", _map_doc(images))
+        op_path = _write_doc(tmp_path / "choi.json", _choi_doc(images))
+        verdicts = (_accepts(read_operator, op_path), _accepts(read_map_table, map_path))
+        assert verdicts == (accepted, accepted)
+
+    def test_images_are_the_choi_blocks_bit_for_bit(self, tmp_path):
+        images = _nearly_preserving_images(1.0, 1e-14)
+        table = read_map_table(_write_doc(tmp_path / "map.json", _map_doc(images)))
+        choi = jamiolkowski(table).matrix
+        assert not np.array_equal(table.images, images)  # the gate symmetrized
+        for i in range(3):
+            for j in range(3):
+                block = choi[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
+                assert table.image(i, j).tobytes() == block.tobytes()
 
 
 class TestSweepCsv:
