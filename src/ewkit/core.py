@@ -94,14 +94,16 @@ class HermitianOp:
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {n}")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        scale = max(1.0, float(np.abs(m).max()))
-        deviation = float(np.abs(m - m.conj().T).max())
-        if deviation > HERMITICITY_RTOL * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: max|M - M^dag| = {deviation:.3e} "
-                f"exceeds {HERMITICITY_RTOL:g} * {scale:g}"
-            )
-        m = (m + m.conj().T) / 2.0
+        h = m.conj().T
+        if not np.array_equal(m, h):  # an exactly Hermitian m deviates by 0
+            scale = max(1.0, float(np.abs(m).max()))
+            deviation = float(np.abs(m - h).max())
+            if deviation > HERMITICITY_RTOL * scale:
+                raise ValueError(
+                    f"matrix is not Hermitian: max|M - M^dag| = {deviation:.3e} "
+                    f"exceeds {HERMITICITY_RTOL:g} * {scale:g}"
+                )
+        m = (m + h) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

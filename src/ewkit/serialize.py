@@ -1,14 +1,18 @@
 """Stable file formats: operator JSON, map-table JSON, certificate JSON, sweep CSV.
 
 Floats are written in Python's shortest round-trip decimal form, so a
-write-then-read cycle reproduces every operator bit-exactly; entries that
-are exact integers (all the unnormalized witnesses) are written as JSON
-integers.
+write-then-read cycle reproduces every operator bit-exactly; integral
+entries of magnitude up to 2**53 (all the unnormalized witnesses) are
+written as JSON integers. Each real or imaginary part is converted as one
+whole array, a map table's images as one stack, and each document is
+encoded by one json.dumps call. On reading, every re/im entry must be a
+JSON number.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, Iterator
 
 import numpy as np
@@ -32,40 +36,48 @@ def _read_json(path: str) -> Any:
 
 
 def _write_json(path: str, doc: Any) -> None:
+    # json.dumps takes CPython's C encoder; json.dump streams pure-Python chunks
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
-def _num(x: float) -> int | float:
-    # Integral entries serialize as JSON integers; 2^53 bounds exact ints.
-    if x == int(x) and abs(x) <= 2**53:
-        return int(x)
-    return float(x)
+def _to_lists(a: np.ndarray) -> list:
+    """Nested lists of a real array: integral entries up to 2**53 as ints, others as floats."""
+    out = a.astype(object)
+    exact = (a == np.trunc(a)) & (np.abs(a) <= 2**53)
+    out[exact] = a[exact].astype(np.int64).astype(object)
+    return out.tolist()
 
 
-def _matrix_to_lists(m: np.ndarray) -> tuple[list[list[Any]], list[list[Any]]]:
-    re = [[_num(v) for v in row] for row in m.real.tolist()]
-    im = [[_num(v) for v in row] for row in m.imag.tolist()]
-    return re, im
+_JSON_NUMBERS = {int, float}  # bool is an int subclass, but type(True) is bool
 
 
-def _matrix_from_lists(re: Any, im: Any, n: int) -> np.ndarray:
+def _numeric_array(re: Any, im: Any, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex array re + 1j*im of the given shape; every entry a JSON number."""
     try:
         re_arr = np.array(re, dtype=float)
         im_arr = np.array(im, dtype=float)
     except (TypeError, ValueError) as exc:
         raise MalformedFileError(f"re/im are not numeric matrices: {exc}") from exc
-    if re_arr.shape != (n, n) or im_arr.shape != (n, n):
+    if re_arr.shape != shape or im_arr.shape != shape:
         raise MalformedFileError(
-            f"re/im shapes {re_arr.shape}/{im_arr.shape} do not match dims ({n}x{n})"
+            f"re/im shapes {re_arr.shape}/{im_arr.shape} do not match {shape}"
         )
+    # np.array parses "1" and takes true/false/null, so check the entry types
+    for part in (re, im):
+        for _ in shape[1:]:
+            part = chain.from_iterable(part)
+        bad = set(map(type, part)) - _JSON_NUMBERS
+        if bad:
+            names = ", ".join(sorted(t.__name__ for t in bad))
+            raise MalformedFileError(f"re/im are not numeric matrices: {names} entries")
     return re_arr + 1j * im_arr
 
 
 def operator_to_json_dict(op: HermitianOp, meta: dict | None = None) -> dict:
-    re, im = _matrix_to_lists(op.matrix)
-    return {"dims": list(op.space.dims), "re": re, "im": im, "meta": meta or {}}
+    m = op.matrix
+    return {"dims": list(op.space.dims), "re": _to_lists(m.real), "im": _to_lists(m.imag),
+            "meta": meta or {}}
 
 
 def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
@@ -81,7 +93,8 @@ def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
         raise MalformedFileError(str(exc)) from exc
     if "re" not in doc or "im" not in doc:
         raise MalformedFileError("operator document must carry re and im matrices")
-    matrix = _matrix_from_lists(doc["re"], doc["im"], space.total)
+    n = space.total
+    matrix = _numeric_array(doc["re"], doc["im"], (n, n))
     try:
         op = HermitianOp(space, matrix)
     except ValueError as exc:
@@ -101,10 +114,8 @@ def read_operator(path: str) -> tuple[HermitianOp, dict]:
 
 
 def map_table_to_json_dict(table: LinearMapTable) -> dict:
-    images = []
-    for img in table.images:
-        re, im = _matrix_to_lists(img)
-        images.append({"re": re, "im": im})
+    res, ims = _to_lists(table.images.real), _to_lists(table.images.imag)
+    images = [{"re": re, "im": im} for re, im in zip(res, ims)]
     return {"d_in": table.d_in, "d_out": table.d_out, "images": images}
 
 
@@ -121,11 +132,15 @@ def map_table_from_json_dict(doc: Any) -> LinearMapTable:
         raise MalformedFileError(
             f"images must be a list of {d_in * d_in} matrices"
         )
-    images = []
-    for entry in raw_images:
-        if not isinstance(entry, dict) or "re" not in entry or "im" not in entry:
-            raise MalformedFileError("each image needs re and im matrices")
-        images.append(_matrix_from_lists(entry["re"], entry["im"], d_out))
+    if not all(isinstance(entry, dict) and "re" in entry and "im" in entry
+               for entry in raw_images):
+        raise MalformedFileError("each image needs re and im matrices")
+    shape = (d_in * d_in, d_out, d_out)
+    if raw_images:
+        images = _numeric_array([entry["re"] for entry in raw_images],
+                                [entry["im"] for entry in raw_images], shape)
+    else:  # d_in = 0: no entries to check; LinearMapTable rejects the dims
+        images = np.zeros(shape, dtype=complex)
     # a Hermiticity-preservation violation is an invalid map, not a malformed
     # file; let LinearMapTable's ValueError propagate
     return LinearMapTable.from_images(d_in, d_out, images)

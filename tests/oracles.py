@@ -6,14 +6,16 @@ from one Kronecker product per matrix unit and its inverse from one slice
 per block, the tabulated maps from their formulas applied to one matrix
 unit at a time, thresholds come from brute-force sign scans of traces evaluated
 on explicitly mixed matrices, product minima come from a dense grid over
-real product vectors, and the sweep, witness, Ha-state and
-block-positivity scan kernels are checked against their per-row,
-per-block and per-restart loops.
+real product vectors, the sweep, witness, Ha-state and block-positivity
+scan kernels are checked against their per-row, per-block and
+per-restart loops, and the operator and map-table writers against a
+per-entry codec.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +143,41 @@ def map_apply_loop(table: LinearMapTable, x: np.ndarray) -> np.ndarray:
         for j in range(table.d_in):
             out += x[i, j] * table.image(i, j)
     return out
+
+
+def _num(x: float) -> int | float:
+    # Integral entries serialize as JSON integers; 2^53 bounds exact ints.
+    if x == int(x) and abs(x) <= 2**53:
+        return int(x)
+    return float(x)
+
+
+def _matrix_to_lists(m: np.ndarray) -> tuple[list[list], list[list]]:
+    re = [[_num(v) for v in row] for row in m.real.tolist()]
+    im = [[_num(v) for v in row] for row in m.imag.tolist()]
+    return re, im
+
+
+def _write_json_streamed(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
+def write_operator_per_entry(path: str, op: HermitianOp, meta: dict | None = None) -> None:
+    """The operator file, each entry converted by _num, streamed by json.dump."""
+    re, im = _matrix_to_lists(op.matrix)
+    _write_json_streamed(path, {"dims": list(op.space.dims), "re": re, "im": im,
+                                "meta": meta or {}})
+
+
+def write_map_table_per_entry(path: str, table: LinearMapTable) -> None:
+    """The map-table file, one image at a time, each entry converted by _num."""
+    images = []
+    for img in table.images:
+        re, im = _matrix_to_lists(img)
+        images.append({"re": re, "im": im})
+    _write_json_streamed(path, {"d_in": table.d_in, "d_out": table.d_out, "images": images})
 
 
 def pair_trace(w: np.ndarray, rho: np.ndarray) -> float:

@@ -13,6 +13,7 @@ from ewkit import (
     choi_map,
     is_psd,
     partial_transpose,
+    ha_state,
     tensor_op,
     trace_pair,
     witness_dk,
@@ -22,6 +23,16 @@ from ewkit.detect import sweep
 from oracles import kron_chain, matrix_unit, pinch, random_hermitian, shift_operator
 
 DIM_CHOICES = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
+
+
+def _hermitian_with_signed_zeros() -> np.ndarray:
+    """An exactly Hermitian 9 x 9 matrix with -0.0 planted in both parts."""
+    m = random_hermitian(np.random.default_rng(7), 9)
+    m[0, 1] = m[1, 0] = complex(-0.0, 0.0)
+    m[0, 1] = complex(m[0, 1].real, -0.0)  # m[1, 0] keeps +0.0, its conjugate
+    m[2, 2] = complex(1.5, -0.0)  # conj gives +0.0: equal, but not bit-equal
+    m[3, 4], m[4, 3] = complex(-0.0, 2.0), complex(-0.0, -2.0)
+    return m
 
 
 class TestTensorSpace:
@@ -55,6 +66,18 @@ class TestHermitianOp:
         m[0, 1] = 1e-14
         op = HermitianOp(bipartite(2), m)
         assert abs(op.matrix[0, 1] - op.matrix[1, 0].conjugate()) == 0.0
+
+    @pytest.mark.parametrize("make", [
+        _hermitian_with_signed_zeros,
+        lambda: witness_dk(3, 1).matrix,
+        lambda: ha_state(3, 0.37).matrix,
+        lambda: np.eye(9, dtype=complex),
+    ])
+    def test_exactly_hermitian_input_is_stored_symmetrized_bit_for_bit(self, make):
+        m = make()
+        assert np.array_equal(m, m.conj().T)
+        stored = HermitianOp(bipartite(3), m).matrix
+        assert stored.tobytes() == ((m + m.conj().T) / 2).tobytes()
 
     def test_shape_must_match_space(self):
         with pytest.raises(ValueError, match="shape"):

@@ -18,6 +18,9 @@ from ewkit import (
     dejamiolkowski,
     ha_state,
     jamiolkowski,
+    perturbed_witness,
+    projector_p,
+    projector_q,
     read_map_table,
     read_operator,
     sweep,
@@ -29,11 +32,20 @@ from ewkit import (
 )
 from ewkit.cli import main
 
-from oracles import random_hermitian, sweep_rows, sweep_rows_csv
+from oracles import (
+    random_hermitian,
+    sweep_rows,
+    sweep_rows_csv,
+    write_map_table_per_entry,
+    write_operator_per_entry,
+)
 
 EYE_4 = np.eye(4).tolist()
 ZERO_4 = np.zeros((4, 4)).tolist()
 ZERO_2 = [[0, 0], [0, 0]]
+# The identity map on 2 x 2 matrices: image i*2 + j is e_ij.
+UNITS_2 = [[[int((r, c) == (i, j)) for c in range(2)] for r in range(2)]
+           for i in range(2) for j in range(2)]
 
 # Operator documents that are not operators, each with what its error names.
 BAD_OPERATOR_DOCS = {
@@ -46,6 +58,15 @@ BAD_OPERATOR_DOCS = {
     "im_not_numeric": ({"dims": [2, 2], "re": EYE_4, "im": "none"}, "numeric"),
     "meta_not_an_object": ({"dims": [2, 2], "re": EYE_4, "im": ZERO_4, "meta": [1]},
                            "meta"),
+    # np.array(..., dtype=float) parses these, and turns null into nan
+    "re_numeric_strings": ({"dims": [2], "re": [["1", "0"], ["0", "1"]], "im": ZERO_2},
+                           "numeric"),
+    "re_booleans": ({"dims": [2], "re": [[True, False], [False, True]], "im": ZERO_2},
+                    "numeric"),
+    "re_null_entry": ({"dims": [2], "re": [[1, None], [None, 1]], "im": ZERO_2}, "numeric"),
+    "im_booleans": ({"dims": [2, 2], "re": EYE_4, "im": [[False] * 4] * 4}, "numeric"),
+    "im_numeric_string": ({"dims": [2], "re": [[1, 0], [0, 1]], "im": [[0, "0"], [0, 0]]},
+                          "numeric"),
 }
 
 # Map-table documents that are not map tables, each with what its error names.
@@ -57,6 +78,15 @@ BAD_MAP_DOCS = {
     "image_without_im": ({"d_in": 2, "d_out": 2, "images": [{"re": ZERO_2}] * 4},
                          "re and im"),
     "image_not_an_object": ({"d_in": 2, "d_out": 2, "images": [ZERO_2] * 4}, "re and im"),
+    "image_numeric_strings": ({"d_in": 2, "d_out": 2, "images": [
+        {"re": [[str(v) for v in row] for row in unit], "im": ZERO_2} for unit in UNITS_2]},
+        "numeric"),
+    "image_booleans": ({"d_in": 2, "d_out": 2, "images": [
+        {"re": unit, "im": [[False, False], [False, False]]} for unit in UNITS_2]},
+        "numeric"),
+    "image_null_entry": ({"d_in": 2, "d_out": 2, "images": [
+        {"re": unit, "im": ZERO_2} for unit in UNITS_2[:3]] + [
+        {"re": [[0, 0], [0, None]], "im": ZERO_2}]}, "numeric"),
 }
 
 
@@ -160,6 +190,62 @@ class TestOperatorRoundTrip:
         assert capsys.readouterr().out == ""
 
 
+def _planted_hermitian(n: int, seed: int) -> np.ndarray:
+    """A random exactly Hermitian matrix with edge-case entries in both parts."""
+    m = random_hermitian(np.random.default_rng(seed), n)
+    edge = [-0.0, 2.0**53, -(2.0**53), 2.0**53 + 2, 2.0**60, 1e16, 5e-324, 0.1, -3.0]
+    for i, value in enumerate(edge):  # n >= 9
+        j = (i + 1) % n
+        m[i, j] = complex(value, value)
+        m[j, i] = complex(value, -value)
+        m[i, i] = value  # the diagonal of a Hermitian matrix is real
+    # signed zeros the gate's (m + m^dag) / 2 keeps, at (1, 3) and (2, 4)
+    m[1, 3], m[3, 1] = complex(-0.0, -3.0), complex(-0.0, 3.0)
+    m[2, 4], m[4, 2] = complex(2.0, -0.0), complex(2.0, 0.0)
+    return m
+
+
+OPERATORS = {
+    "witness": lambda d: witness_dk(d, 1),
+    "state": lambda d: ha_state(d, 0.37),
+    "perturbed": lambda d: perturbed_witness(d, 1, 0.013, 0.021),
+    "projector_p": projector_p,
+    "projector_q": projector_q,
+}
+
+
+class TestWritersMatchPerEntryCodec:
+    """write_operator / write_map_table give the per-entry codec's bytes exactly."""
+
+    @staticmethod
+    def _same_bytes(tmp_path, write, oracle, *args) -> bool:
+        ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+        write(str(ours), *args)
+        oracle(str(theirs), *args)
+        return ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("d", range(3, 21))
+    @pytest.mark.parametrize("kind", OPERATORS)
+    def test_constructed_operators(self, tmp_path, kind, d):
+        op = OPERATORS[kind](d)
+        meta = {"construction": kind, "d": d, "gamma": 0.37}
+        assert self._same_bytes(tmp_path, write_operator, write_operator_per_entry, op, meta)
+
+    @pytest.mark.parametrize("d, k", [(3, 1), (4, 1), (5, 2), (6, 4), (8, 3), (10, 1)])
+    def test_choi_map_tables(self, tmp_path, d, k):
+        table = choi_map(d, k)
+        assert self._same_bytes(tmp_path, write_map_table, write_map_table_per_entry, table)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_edge_values(self, tmp_path, seed):
+        op = HermitianOp(bipartite(3), _planted_hermitian(9, seed))
+        kept = op.matrix[1, 3].real, op.matrix[2, 4].imag, op.matrix[6, 7].imag
+        assert [np.signbit(kept[0]), np.signbit(kept[1]), kept[2]] == [True, True, 5e-324]
+        assert self._same_bytes(tmp_path, write_operator, write_operator_per_entry, op)
+        table = dejamiolkowski(op)
+        assert self._same_bytes(tmp_path, write_map_table, write_map_table_per_entry, table)
+
+
 class TestMapTableRoundTrip:
     def test_choi_map_round_trip(self, tmp_path):
         table = choi_map(3, 1)
@@ -176,6 +262,13 @@ class TestMapTableRoundTrip:
         path.write_text(json.dumps({"d_in": 2, "d_out": 2, "images": []}))
         with pytest.raises(MalformedFileError, match="images"):
             read_map_table(str(path))
+
+    def test_zero_input_dimension_is_an_invalid_map_not_a_malformed_file(self, tmp_path):
+        path = _write_doc(tmp_path / "map.json", {"d_in": 0, "d_out": 2, "images": []})
+        with pytest.raises(ValueError, match=">= 2") as info:
+            read_map_table(path)
+        assert not isinstance(info.value, MalformedFileError)
+        assert main(["cj", "to-witness", "-m", path, "--out", str(tmp_path / "w.json")]) == 2
 
     @pytest.mark.parametrize("name", BAD_MAP_DOCS)
     def test_bad_document_rejected_and_to_witness_exits_3(self, tmp_path, capsys, name):
