@@ -3,10 +3,11 @@
 Floats are written in Python's shortest round-trip decimal form, so a
 write-then-read cycle reproduces every operator bit-exactly; integral
 entries of magnitude up to 2**53 (all the unnormalized witnesses) are
-written as JSON integers. Each real or imaginary part is converted as one
-whole array, a map table's images as one stack, and each document is
-encoded by one json.dumps call. On reading, every re/im entry must be a
-JSON number.
+written as JSON integers. Only the nonzero entries of a real or imaginary
+part (a map table's images as one stack) are converted and encoded; the
+zeros are written as "0" with no per-entry conversion. An operator or map
+table is encoded before its file is opened, so a failed write leaves the
+file as it was. On reading, every re/im entry must be a finite JSON number.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ def _read_json(path: str) -> Any:
         raise MalformedFileError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _write_json(path: str, doc: Any) -> None:
-    # json.dumps takes CPython's C encoder; json.dump streams pure-Python chunks
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(text)
 
 
 def _to_lists(a: np.ndarray) -> list:
@@ -49,11 +49,31 @@ def _to_lists(a: np.ndarray) -> list:
     return out.tolist()
 
 
+def _json_texts(a: np.ndarray) -> list[str]:
+    """json.dumps(_to_lists(a[i])) for each i, converting only the nonzero entries.
+
+    Zeros (-0.0 included, as _to_lists makes it int 0) stay "0" cells; the
+    nonzeros are encoded by one json.dumps, whose ", " separator no JSON
+    number contains. The cells are then joined one axis at a time,
+    innermost first.
+    """
+    flat = a.ravel()
+    cells = ["0"] * flat.size
+    nonzero = np.flatnonzero(flat)
+    if nonzero.size:
+        texts = json.dumps(_to_lists(flat[nonzero]))[1:-1].split(", ")
+        for i, text in zip(nonzero.tolist(), texts):
+            cells[i] = text
+    for n in reversed(a.shape[1:]):
+        cells = ["[" + ", ".join(cells[i:i + n]) + "]" for i in range(0, len(cells), n)]
+    return cells
+
+
 _JSON_NUMBERS = {int, float}  # bool is an int subclass, but type(True) is bool
 
 
 def _numeric_array(re: Any, im: Any, shape: tuple[int, ...]) -> np.ndarray:
-    """The complex array re + 1j*im of the given shape; every entry a JSON number."""
+    """The complex array re + 1j*im of the given shape; every entry a finite JSON number."""
     try:
         re_arr = np.array(re, dtype=float)
         im_arr = np.array(im, dtype=float)
@@ -71,13 +91,11 @@ def _numeric_array(re: Any, im: Any, shape: tuple[int, ...]) -> np.ndarray:
         if bad:
             names = ", ".join(sorted(t.__name__ for t in bad))
             raise MalformedFileError(f"re/im are not numeric matrices: {names} entries")
+    # json.load takes the NaN, Infinity and -Infinity literals (and 1e999) as floats
+    bad = {json.dumps(v) for arr in (re_arr, im_arr) for v in arr[~np.isfinite(arr)].tolist()}
+    if bad:
+        raise MalformedFileError(f"re/im are not finite numbers: {', '.join(sorted(bad))} entries")
     return re_arr + 1j * im_arr
-
-
-def operator_to_json_dict(op: HermitianOp, meta: dict | None = None) -> dict:
-    m = op.matrix
-    return {"dims": list(op.space.dims), "re": _to_lists(m.real), "im": _to_lists(m.imag),
-            "meta": meta or {}}
 
 
 def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
@@ -106,17 +124,14 @@ def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
 
 
 def write_operator(path: str, op: HermitianOp, meta: dict | None = None) -> None:
-    _write_json(path, operator_to_json_dict(op, meta))
+    """Write json.dumps of {"dims", "re", "im", "meta"} and a newline."""
+    dims, meta_text = json.dumps(list(op.space.dims)), json.dumps(meta or {})
+    (re,), (im,) = _json_texts(op.matrix.real[None]), _json_texts(op.matrix.imag[None])
+    _write_text(path, f'{{"dims": {dims}, "re": {re}, "im": {im}, "meta": {meta_text}}}\n')
 
 
 def read_operator(path: str) -> tuple[HermitianOp, dict]:
     return operator_from_json_dict(_read_json(path))
-
-
-def map_table_to_json_dict(table: LinearMapTable) -> dict:
-    res, ims = _to_lists(table.images.real), _to_lists(table.images.imag)
-    images = [{"re": re, "im": im} for re, im in zip(res, ims)]
-    return {"d_in": table.d_in, "d_out": table.d_out, "images": images}
 
 
 def map_table_from_json_dict(doc: Any) -> LinearMapTable:
@@ -147,7 +162,10 @@ def map_table_from_json_dict(doc: Any) -> LinearMapTable:
 
 
 def write_map_table(path: str, table: LinearMapTable) -> None:
-    _write_json(path, map_table_to_json_dict(table))
+    """Write json.dumps of {"d_in", "d_out", "images": [{"re", "im"}, ...]} and a newline."""
+    res, ims = _json_texts(table.images.real), _json_texts(table.images.imag)
+    images = ", ".join(f'{{"re": {re}, "im": {im}}}' for re, im in zip(res, ims))
+    _write_text(path, f'{{"d_in": {table.d_in}, "d_out": {table.d_out}, "images": [{images}]}}\n')
 
 
 def read_map_table(path: str) -> LinearMapTable:

@@ -10,6 +10,7 @@ from ewkit import (
     HermitianOp,
     MalformedFileError,
     ScanConfig,
+    TensorSpace,
     bipartite,
     blockpos_scan,
     certificate_to_json_dict,
@@ -67,6 +68,12 @@ BAD_OPERATOR_DOCS = {
     "im_booleans": ({"dims": [2, 2], "re": EYE_4, "im": [[False] * 4] * 4}, "numeric"),
     "im_numeric_string": ({"dims": [2], "re": [[1, 0], [0, 1]], "im": [[0, "0"], [0, 0]]},
                           "numeric"),
+    # json.load takes the NaN and Infinity literals json.dumps writes for these
+    "re_nan_literal": ({"dims": [2], "re": [[1, math.nan], [math.nan, 1]], "im": ZERO_2},
+                       "not finite numbers: NaN entries"),
+    "im_infinity_literals": ({"dims": [2], "re": [[1, 0], [0, 1]],
+                              "im": [[0, math.inf], [-math.inf, 0]]},
+                             "not finite numbers: -Infinity, Infinity entries"),
 }
 
 # Map-table documents that are not map tables, each with what its error names.
@@ -87,6 +94,12 @@ BAD_MAP_DOCS = {
     "image_null_entry": ({"d_in": 2, "d_out": 2, "images": [
         {"re": unit, "im": ZERO_2} for unit in UNITS_2[:3]] + [
         {"re": [[0, 0], [0, None]], "im": ZERO_2}]}, "numeric"),
+    "image_nan_literal": ({"d_in": 2, "d_out": 2, "images": [
+        {"re": unit, "im": ZERO_2} for unit in UNITS_2[:3]] + [
+        {"re": [[0, 0], [0, math.nan]], "im": ZERO_2}]}, "not finite numbers: NaN entries"),
+    "image_infinity_literal": ({"d_in": 2, "d_out": 2, "images": [
+        {"re": unit, "im": [[0, 0], [0, -math.inf]]} for unit in UNITS_2]},
+        "not finite numbers: -Infinity entries"),
 }
 
 
@@ -178,6 +191,20 @@ class TestOperatorRoundTrip:
         with pytest.raises(MalformedFileError, match="Hermiticity"):
             read_operator(str(path))
 
+    def test_overflowing_number_is_rejected_as_not_finite(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dims": [2], "re": [[1e999, 0], [0, 1]], "im": [[0, 0], [0, 0]]}')
+        with pytest.raises(MalformedFileError, match="not finite numbers: Infinity entries"):
+            read_operator(str(path))
+
+    def test_failed_write_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "w.json"
+        write_operator(str(path), witness_dk(3, 1))
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="int64"):
+            write_operator(str(path), ha_state(3, 0.37), {"d": np.int64(3)})
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize("name", BAD_OPERATOR_DOCS)
     def test_bad_document_rejected_and_pair_exits_3(self, tmp_path, capsys, name):
         doc, message = BAD_OPERATOR_DOCS[name]
@@ -244,6 +271,45 @@ class TestWritersMatchPerEntryCodec:
         assert self._same_bytes(tmp_path, write_operator, write_operator_per_entry, op)
         table = dejamiolkowski(op)
         assert self._same_bytes(tmp_path, write_map_table, write_map_table_per_entry, table)
+
+    def test_all_zero_operator_with_negative_zeros(self, tmp_path):
+        m = np.zeros((4, 4), dtype=complex)
+        # zeros whose sign survives the gate's complex (m + m^dag) / 2
+        m[0, 1], m[1, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+        m[2, 3] = complex(0.0, -0.0)
+        op = HermitianOp(bipartite(2), m)
+        assert np.signbit([op.matrix[0, 1].real, op.matrix[2, 3].imag]).all()
+        assert not op.matrix.any()
+        assert self._same_bytes(tmp_path, write_operator, write_operator_per_entry, op)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 2)])
+    def test_operators_on_other_spaces(self, tmp_path, dims):
+        space = TensorSpace(dims)
+        m = random_hermitian(np.random.default_rng(sum(dims)), space.total)
+        for matrix in (m, np.round(4 * m)):  # floats, then integers and zeros
+            op = HermitianOp(space, matrix)
+            assert self._same_bytes(tmp_path, write_operator, write_operator_per_entry, op)
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2), (2, 5)])
+    def test_map_tables_with_unequal_dimensions(self, tmp_path, d_in, d_out):
+        m = random_hermitian(np.random.default_rng(10 * d_in + d_out), d_in * d_out)
+        for matrix in (m, np.round(4 * m)):
+            table = dejamiolkowski(HermitianOp(TensorSpace((d_in, d_out)), matrix))
+            assert (table.d_in, table.d_out) == (d_in, d_out)
+            assert self._same_bytes(tmp_path, write_map_table, write_map_table_per_entry, table)
+
+    def test_dense_random_operator(self, tmp_path):
+        op = HermitianOp(bipartite(20), random_hermitian(np.random.default_rng(400), 400))
+        assert np.count_nonzero(op.matrix.real) == 400 * 400
+        assert self._same_bytes(tmp_path, write_operator, write_operator_per_entry, op)
+
+    def test_meta_with_nested_values_and_non_ascii_text(self, tmp_path):
+        meta = {"note": "\u03c1\u2080 \u2014 \u0126a \u2713 caf\u00e9", "emoji": "\U0001f642",
+                "nested": {"values": [1, 2.5, None, True, "\u00fc", [-0.0, 1e-300]], "empty": {}},
+                "\u00e4 key": "quote \" and backslash \\"}
+        op = witness_dk(3, 1)
+        assert self._same_bytes(tmp_path, write_operator, write_operator_per_entry, op, meta)
+        assert "\\ud83d\\ude42" in (tmp_path / "ours.json").read_text()  # ensure_ascii escapes
 
 
 class TestMapTableRoundTrip:
