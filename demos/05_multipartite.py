@@ -29,8 +29,7 @@ def main():
     e00 = ek.HermitianOp(ek.TensorSpace((2,)), np.array([[1, 0], [0, 0]], dtype=complex))
     w3 = ek.tensor_op(ek.witness_dk(3, 1), e00)
     rho3 = ek.tensor_op(ek.ha_state(3, 0.5), e00)
-    pair = ek.MultipartitePair(w3, rho3, (False, True, False))
-    cert = ek.certify_indecomposable(pair.w0, pair.rho0, pair.sigma)
+    cert = ek.certify_indecomposable(w3, rho3, (False, True, False))
     print(f"  sigma-indecomposability certified: {cert.verdict} "
           f"(trace {cert.evidence['trace']:.6f})")
 

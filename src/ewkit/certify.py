@@ -203,6 +203,14 @@ def _half_step(
     return eigvals[:, 0], eigvecs[:, :, 0]
 
 
+def _step_converged(previous: Any, value: Any) -> Any:
+    """Whether a step from previous to value stops a restart, for floats or elementwise.
+
+    It does when |previous - value| is at most SCAN_CONV_TOL times max(1, |value|).
+    """
+    return np.abs(previous - value) <= SCAN_CONV_TOL * np.maximum(1.0, np.abs(value))
+
+
 def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certificate:
     """Heuristic minimum of <x * y| W |x * y> over product vectors.
 
@@ -244,8 +252,7 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
         xs[active], ys[active] = x, y
         for r, vx, vy in zip(active.tolist(), val_x.tolist(), val_y.tolist()):
             histories[r] += (vx, vy)
-        scale = np.maximum(1.0, np.abs(val_y))
-        converged = np.abs(last[active] - val_y) <= SCAN_CONV_TOL * scale
+        converged = _step_converged(last[active], val_y)
         last[active] = val_y
         active = active[~converged]
         if not active.size:
@@ -283,8 +290,8 @@ def _history_summary(histories: list[list[float]], max_iters: int) -> dict[str, 
     """The scan evidence that follows from the per-restart objective histories.
 
     The best restart is the first with the lowest final value. A restart is
-    unconverged when it took max_iters steps and its last step still moved
-    the objective by more than SCAN_CONV_TOL * max(1, |final value|).
+    unconverged when it took max_iters steps and its last step still failed
+    _step_converged.
     """
     finals = [h[-1] for h in histories]
     best = int(np.argmin(finals))
@@ -292,8 +299,7 @@ def _history_summary(histories: list[list[float]], max_iters: int) -> dict[str, 
         "minimum": finals[best],
         "best_restart": best,
         "unconverged_restarts": sum(
-            (len(h) - 1) // 2 == max_iters
-            and abs(h[-3] - h[-1]) > SCAN_CONV_TOL * max(1.0, abs(h[-1]))
+            (len(h) - 1) // 2 == max_iters and not _step_converged(h[-3], h[-1])
             for h in histories
         ),
         "max_step_increase": float(max(np.diff(h).max() for h in histories)),

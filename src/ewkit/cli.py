@@ -54,6 +54,11 @@ from .serialize import (
 #: Most points a grid, and most rows a sweep, may hold.
 MAX_SWEEP_ROWS = 10**7
 
+#: A range grid ends before stop: its point count (stop - start) / step is
+#: rounded up only past this many steps above an integer, so that round-off
+#: in the division adds no point at stop.
+GRID_STOP_SLACK = 1e-9
+
 
 def parse_grid(text: str) -> list[float]:
     """Parse 'start:stop:step' (inclusive start, exclusive stop) or a bare number.
@@ -72,7 +77,7 @@ def parse_grid(text: str) -> list[float]:
     start, stop, step = numbers
     if step <= 0:
         raise ValueError(f"grid step must be > 0, got {text!r}")
-    points = (stop - start) / step - 1e-9
+    points = (stop - start) / step - GRID_STOP_SLACK
     if points > MAX_SWEEP_ROWS:
         raise ValueError(f"grid has more than {MAX_SWEEP_ROWS} points, got {text!r}")
     count = max(0, math.ceil(points))

@@ -2,9 +2,10 @@
 
 The block witness family W_{d,k}, its positive-map counterparts tau_{d,k},
 the one-parameter family of PPT states rho_gamma due to Ha, the maximally
-entangled projectors P and Q used to perturb witnesses, and the generic
-convex/difference constructors. Witnesses are kept unnormalized with integer
-entries exactly as usually printed; states carry unit trace.
+entangled projectors P and Q used to perturb witnesses, the GHZ projector on
+N factors, and the generic convex/difference constructors. Witnesses are kept
+unnormalized with integer entries exactly as usually printed; states carry
+unit trace.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HERMITICITY_RTOL, HermitianOp, TensorSpace, bipartite, is_psd
+from .core import (
+    HermitianOp,
+    TensorSpace,
+    _hermiticity_bound,
+    _require_psd,
+    bipartite,
+    is_psd,
+)
 
 #: How far from one the weights of a convex combination may sum.
 WEIGHT_SUM_TOL = 1e-12
@@ -103,7 +111,8 @@ class LinearMapTable:
                 raise
             # finite: some dev[i, j] = max |phi(e_ij)^dag - phi(e_ji)| exceeds the bound
             dev = np.abs(blocks.conj().transpose(1, 0, 3, 2) - blocks).max(axis=(2, 3))
-            i, j = np.argwhere(dev > HERMITICITY_RTOL * max(1.0, np.abs(units).max()))[0]
+            _, bound = _hermiticity_bound(units)
+            i, j = np.argwhere(dev > bound)[0]
             raise ValueError(f"map is not Hermiticity preserving at ({i},{j}): "
                              f"deviation {dev[i, j]:.3e}") from None
         return cls(choi)
@@ -274,11 +283,7 @@ def witness_from_difference(q: HermitianOp, p: HermitianOp) -> HermitianOp:
     """
     q._require_same_space(p)
     for name, op in (("q", q), ("p", p)):
-        ok, spectrum = is_psd(op)
-        if not ok:
-            raise ValueError(
-                f"{name} must be PSD; min eigenvalue {spectrum.min:.3e}"
-            )
+        _require_psd(name, *is_psd(op))
     return q - p
 
 
@@ -301,3 +306,14 @@ def max_entangled_projector(d: int) -> HermitianOp:
     vec = _cyclic_vector(d, 0)
     vec /= np.sqrt(d)
     return HermitianOp(bipartite(d), np.outer(vec, vec.conj()))
+
+
+def ghz_projector(num_parts: int = 3, d: int = 2) -> HermitianOp:
+    """Projector onto (|0...0> + |(d-1)...(d-1)>)/sqrt(2) on d^N."""
+    if num_parts < 2:
+        raise ValueError("need at least two factors")
+    space = TensorSpace((d,) * num_parts)
+    vec = np.zeros(space.total, dtype=complex)
+    vec[0] = 1.0 / np.sqrt(2.0)
+    vec[-1] = 1.0 / np.sqrt(2.0)
+    return HermitianOp(space, np.outer(vec, vec.conj()))

@@ -68,9 +68,18 @@ class TensorSpace:
         return idx
 
 
-def bipartite(d1: int, d2: int | None = None) -> TensorSpace:
-    """Two-factor space; a single argument means d x d."""
-    return TensorSpace((d1, d2 if d2 is not None else d1))
+def bipartite(d: int) -> TensorSpace:
+    """The two-factor space d x d."""
+    return TensorSpace((d, d))
+
+
+def _hermiticity_bound(m: np.ndarray) -> tuple[float, float]:
+    """(scale, bound) of the gate, which rejects m when max|M - M^dag| > bound.
+
+    scale is max(1, max|m|) and bound is HERMITICITY_RTOL times scale.
+    """
+    scale = max(1.0, float(np.abs(m).max()))
+    return scale, HERMITICITY_RTOL * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +105,9 @@ class HermitianOp:
             raise ValueError("matrix entries must be finite")
         h = m.conj().T
         if not np.array_equal(m, h):  # an exactly Hermitian m deviates by 0
-            scale = max(1.0, float(np.abs(m).max()))
+            scale, bound = _hermiticity_bound(m)
             deviation = float(np.abs(m - h).max())
-            if deviation > HERMITICITY_RTOL * scale:
+            if deviation > bound:
                 raise ValueError(
                     f"matrix is not Hermitian: max|M - M^dag| = {deviation:.3e} "
                     f"exceeds {HERMITICITY_RTOL:g} * {scale:g}"
@@ -211,6 +220,12 @@ def is_psd(op: HermitianOp) -> tuple[bool, Spectrum]:
     """
     spectrum = Spectrum(np.linalg.eigvalsh(op.matrix))
     return spectrum.min >= -spectrum.psd_tolerance, spectrum
+
+
+def _require_psd(name: str, ok: bool, spectrum: Spectrum) -> None:
+    """Raise ValueError naming the operator unless ok: _require_psd(name, *is_psd(op))."""
+    if not ok:
+        raise ValueError(f"{name} must be PSD; min eigenvalue {spectrum.min:.3e}")
 
 
 def trace_pair(w: HermitianOp, rho: HermitianOp) -> float:

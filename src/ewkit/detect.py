@@ -31,6 +31,7 @@ from .core import (
     HermitianOp,
     TensorSpace,
     _default_sigma,
+    _require_psd,
     is_psd,
     partial_transpose,
     trace_pair,
@@ -92,11 +93,9 @@ def lambda_threshold(
     """Supremum of lambda >= 0 keeping Tr((W0 + lambda P) rho0) < 0.
 
     -Tr(W0 rho0) / Tr(P rho0); math.inf when P is supported in the kernel of
-    rho0, None when W0 does not detect rho0. P must be PSD.
+    rho0, None when W0 does not detect rho0. P has to be PSD.
     """
-    ok, spectrum = is_psd(p)
-    if not ok:
-        raise ValueError(f"P must be PSD; min eigenvalue {spectrum.min:.3e}")
+    _require_psd("P", *is_psd(p))
     return _affine_root(trace_pair(w0, rho0), lambda: trace_pair(p, rho0))
 
 
@@ -115,9 +114,7 @@ def mu_threshold(
     if not math.isfinite(lam) or lam < 0:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     for name, op in (("P", p), ("Q", q)):
-        ok, spectrum = is_psd(op)
-        if not ok:
-            raise ValueError(f"{name} must be PSD; min eigenvalue {spectrum.min:.3e}")
+        _require_psd(name, *is_psd(op))
     t_lam = trace_pair(w0, rho0) + lam * trace_pair(p, rho0)
     return _affine_root(t_lam, lambda: trace_pair(q, rho0))
 
@@ -126,24 +123,19 @@ def mu_threshold(
 class MixingFamily:
     """The states (1-alpha) rho0 + alpha sigma_sep below the detection threshold.
 
-    sigma_declared_separable records the caller's claim; the library cannot
-    decide separability and only ships pre-flagged defaults (see
-    separable_catalog).
+    The caller vouches that sigma_sep is separable by choosing it; the
+    library cannot decide separability and only ships known separable states
+    (see separable_catalog).
     """
 
     witness: HermitianOp
     rho0: HermitianOp
     sigma_sep: HermitianOp
-    sigma_declared_separable: bool
     alpha_threshold: float | None
 
 
 def mixing_family(
-    w: HermitianOp,
-    rho0: HermitianOp,
-    sigma_sep: HermitianOp,
-    *,
-    declared_separable: bool = True,
+    w: HermitianOp, rho0: HermitianOp, sigma_sep: HermitianOp
 ) -> MixingFamily:
     w._require_same_space(rho0)
     w._require_same_space(sigma_sep)
@@ -154,7 +146,6 @@ def mixing_family(
         witness=w,
         rho0=rho0,
         sigma_sep=sigma_sep,
-        sigma_declared_separable=declared_separable,
         alpha_threshold=alpha_threshold(w, rho0, sigma_sep),
     )
 
@@ -298,7 +289,7 @@ def sweep(
 
 
 def separable_catalog(space: TensorSpace) -> dict[str, HermitianOp]:
-    """Pre-flagged separable states for building mixing families.
+    """Known separable states for building mixing families.
 
     The maximally mixed state, the computational product basis states, and
     (on d x d spaces with d >= 3) the gamma = 1 member of the Ha family,

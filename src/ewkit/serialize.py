@@ -101,10 +101,9 @@ def _numeric_array(re: Any, im: Any, shape: tuple[int, ...]) -> np.ndarray:
 def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
     if not isinstance(doc, dict):
         raise MalformedFileError("operator document must be a JSON object")
-    try:
-        dims = [int(d) for d in doc["dims"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFileError(f"bad or missing dims: {exc}") from exc
+    dims = doc.get("dims")
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+        raise MalformedFileError(f"dims must be a list of JSON integers, got {dims!r}")
     try:
         space = TensorSpace(tuple(dims))
     except ValueError as exc:
@@ -117,7 +116,7 @@ def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
         op = HermitianOp(space, matrix)
     except ValueError as exc:
         raise MalformedFileError(f"matrix fails the Hermiticity gate: {exc}") from exc
-    meta = doc.get("meta") or {}
+    meta = {} if doc.get("meta") is None else doc["meta"]
     if not isinstance(meta, dict):
         raise MalformedFileError("meta must be a JSON object")
     return op, meta
@@ -138,11 +137,12 @@ def map_table_from_json_dict(doc: Any) -> LinearMapTable:
     if not isinstance(doc, dict):
         raise MalformedFileError("map-table document must be a JSON object")
     try:
-        d_in = int(doc["d_in"])
-        d_out = int(doc["d_out"])
-        raw_images = doc["images"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFileError(f"bad or missing map-table fields: {exc}") from exc
+        d_in, d_out, raw_images = doc["d_in"], doc["d_out"], doc["images"]
+    except KeyError as exc:
+        raise MalformedFileError(f"missing map-table field: {exc}") from exc
+    for name, value in (("d_in", d_in), ("d_out", d_out)):
+        if type(value) is not int:
+            raise MalformedFileError(f"{name} must be a JSON integer, got {value!r}")
     if not isinstance(raw_images, list) or len(raw_images) != d_in * d_in:
         raise MalformedFileError(
             f"images must be a list of {d_in * d_in} matrices"

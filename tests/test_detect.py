@@ -322,16 +322,6 @@ class TestMixingFamilyAndSampling:
         with pytest.raises(ValueError, match="unit trace"):
             mixing_family(w0, w0, maximally_mixed(w0.space))
 
-    def test_declared_separable_flag_recorded(self):
-        w0 = witness_dk(3, 1)
-        family = mixing_family(
-            w0,
-            ha_state(3, 0.5),
-            maximally_mixed(w0.space),
-            declared_separable=False,
-        )
-        assert family.sigma_declared_separable is False
-
 
 class TestPerturbationFamilyAndSampling:
     def make_family(self):

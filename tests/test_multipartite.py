@@ -7,7 +7,6 @@ import pytest
 
 from ewkit import (
     HermitianOp,
-    MultipartitePair,
     TensorSpace,
     alpha_threshold,
     certify_indecomposable,
@@ -31,10 +30,11 @@ def ancilla_op() -> HermitianOp:
     return HermitianOp(TensorSpace((2,)), np.array([[1, 0], [0, 0]], dtype=complex))
 
 
-def ancilla_pair() -> MultipartitePair:
+def ancilla_pair() -> tuple[HermitianOp, HermitianOp, tuple[bool, ...]]:
+    """A tripartite seed pair (w, rho) and the pattern sigma it is certified against."""
     w = tensor_op(witness_dk(3, 1), ancilla_op())
     rho = tensor_op(ha_state(3, 0.5), ancilla_op())
-    return MultipartitePair(w, rho, (False, True, False))
+    return w, rho, (False, True, False)
 
 
 class TestSigmaPptCheck:
@@ -87,21 +87,18 @@ class TestAncillaTensoredPair:
     def test_nonnegative_pairing_not_certified(self):
         w = tensor_op(witness_dk(3, 1), ancilla_op())
         rho = tensor_op(ha_state(3, 1.0), ancilla_op())
-        pair = MultipartitePair(w, rho, (False, True, False))
-        cert = certify_indecomposable(pair.w0, pair.rho0, pair.sigma)
+        cert = certify_indecomposable(w, rho, (False, True, False))
         assert not cert.verdict
 
     def test_pair_is_certified(self):
-        pair = ancilla_pair()
-        cert = certify_indecomposable(pair.w0, pair.rho0, pair.sigma)
+        cert = certify_indecomposable(*ancilla_pair())
         assert cert.verdict
         # trace factors: Tr((W x e00)(rho x e00)) = Tr(W rho) * Tr(e00)
         assert cert.evidence["trace"] == pytest.approx(-1 / 15, abs=1e-12)
 
     def test_alpha_threshold_from_factored_traces(self):
-        pair = ancilla_pair()
-        sigma_sep = maximally_mixed(pair.w0.space)
-        value = alpha_threshold(pair.w0, pair.rho0, sigma_sep)
+        w, rho, _ = ancilla_pair()
+        value = alpha_threshold(w, rho, maximally_mixed(w.space))
         # factored oracle: T0 = Tr(W rho), Ts = Tr(W x e00) / 18
         t0 = trace_pair(witness_dk(3, 1), ha_state(3, 0.5))
         ts = witness_dk(3, 1).trace() * 1.0 / 18.0
@@ -109,24 +106,23 @@ class TestAncillaTensoredPair:
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_lambda_threshold_with_tensored_perturbation(self):
-        pair = ancilla_pair()
+        w, rho, _ = ancilla_pair()
         p3 = tensor_op(projector_p(3), ancilla_op())
-        value = lambda_threshold(pair.w0, p3, pair.rho0)
+        value = lambda_threshold(w, p3, rho)
         expected = lambda_threshold(witness_dk(3, 1), projector_p(3), ha_state(3, 0.5))
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_p_in_kernel_gives_infinite(self):
-        pair = ancilla_pair()
+        w, rho, _ = ancilla_pair()
         # supported on the ancilla state orthogonal to e00
         other = HermitianOp(TensorSpace((2,)), np.array([[0, 0], [0, 1]], dtype=complex))
         p = tensor_op(projector_p(3), other)
-        assert lambda_threshold(pair.w0, p, pair.rho0) == math.inf
+        assert lambda_threshold(w, p, rho) == math.inf
 
     def test_undetected_gives_none(self):
-        pair = ancilla_pair()
+        w, _, _ = ancilla_pair()
         rho_boundary = tensor_op(ha_state(3, 1.0), ancilla_op())
-        sigma_sep = maximally_mixed(pair.w0.space)
-        assert alpha_threshold(pair.w0, rho_boundary, sigma_sep) is None
+        assert alpha_threshold(w, rho_boundary, maximally_mixed(w.space)) is None
 
 
 class TestSigmaInvariances:
@@ -156,25 +152,24 @@ class TestSigmaInvariances:
             )
 
     def test_mixing_preserves_sigma_ppt(self):
-        pair = ancilla_pair()
-        sigma_sep = maximally_mixed(pair.w0.space)
+        w, rho, sigma = ancilla_pair()
+        sigma_sep = maximally_mixed(w.space)
         for alpha in np.linspace(0.0, 1.0, 9):
-            mixed = HermitianOp(
-                pair.w0.space,
-                (1 - alpha) * pair.rho0.matrix + alpha * sigma_sep.matrix,
-            )
-            assert certify_ppt(mixed, pair.sigma).verdict, alpha
+            mixed = HermitianOp(w.space, (1 - alpha) * rho.matrix + alpha * sigma_sep.matrix)
+            assert certify_ppt(mixed, sigma).verdict, alpha
 
 
 class TestMultipartitePairValidation:
+    """certify_indecomposable checks the triple (w, rho, sigma) it is given."""
+
     def test_space_mismatch_rejected(self):
         with pytest.raises(ValueError, match="spaces differ"):
-            MultipartitePair(witness_dk(3, 1), ha_state(4, 0.5), (False, True))
+            certify_indecomposable(witness_dk(3, 1), ha_state(4, 0.5), (False, True))
 
     def test_sigma_length_checked(self):
         message = "sigma has 3 entries but the space has 2 factors"  # core's message
         with pytest.raises(ValueError, match=message):
-            MultipartitePair(witness_dk(3, 1), ha_state(3, 0.5), (False, True, False))
+            certify_indecomposable(witness_dk(3, 1), ha_state(3, 0.5), (False, True, False))
 
     def test_ghz_projector_shape(self):
         g = ghz_projector(3, 2)

@@ -59,6 +59,15 @@ BAD_OPERATOR_DOCS = {
     "im_not_numeric": ({"dims": [2, 2], "re": EYE_4, "im": "none"}, "numeric"),
     "meta_not_an_object": ({"dims": [2, 2], "re": EYE_4, "im": ZERO_4, "meta": [1]},
                            "meta"),
+    # falsy non-objects are not an absent meta
+    "meta_empty_list": ({"dims": [2, 2], "re": EYE_4, "im": ZERO_4, "meta": []}, "meta"),
+    "meta_zero": ({"dims": [2, 2], "re": EYE_4, "im": ZERO_4, "meta": 0}, "meta"),
+    # dims are JSON integers: a string is not iterated digit by digit, nothing is truncated
+    "dims_digit_string": ({"dims": "22", "re": EYE_4, "im": ZERO_4}, "dims"),
+    "dims_numeric_strings": ({"dims": ["2", "2"], "re": EYE_4, "im": ZERO_4}, "dims"),
+    "dims_fractional": ({"dims": [2.9, 2], "re": EYE_4, "im": ZERO_4}, "dims"),
+    "dims_integral_float": ({"dims": [2.0, 2], "re": EYE_4, "im": ZERO_4}, "dims"),
+    "dims_boolean": ({"dims": [2, True], "re": np.eye(2).tolist(), "im": ZERO_2}, "dims"),
     # np.array(..., dtype=float) parses these, and turns null into nan
     "re_numeric_strings": ({"dims": [2], "re": [["1", "0"], ["0", "1"]], "im": ZERO_2},
                            "numeric"),
@@ -82,6 +91,15 @@ BAD_MAP_DOCS = {
     "no_d_in": ({"d_out": 2, "images": []}, "d_in"),
     "no_d_out": ({"d_in": 2, "images": []}, "d_out"),
     "no_images": ({"d_in": 2, "d_out": 2}, "images"),
+    # d_in and d_out are JSON integers
+    "d_in_string": ({"d_in": "2", "d_out": 2, "images": [
+        {"re": unit, "im": ZERO_2} for unit in UNITS_2]}, "d_in"),
+    "d_in_fractional": ({"d_in": 2.7, "d_out": 2, "images": [
+        {"re": unit, "im": ZERO_2} for unit in UNITS_2]}, "d_in"),
+    "d_out_fractional": ({"d_in": 2, "d_out": 2.2, "images": [
+        {"re": unit, "im": ZERO_2} for unit in UNITS_2]}, "d_out"),
+    "d_out_boolean": ({"d_in": 2, "d_out": True, "images": [{"re": [[1]], "im": [[0]]}] * 4},
+                      "d_out"),
     "image_without_im": ({"d_in": 2, "d_out": 2, "images": [{"re": ZERO_2}] * 4},
                          "re and im"),
     "image_not_an_object": ({"d_in": 2, "d_out": 2, "images": [ZERO_2] * 4}, "re and im"),
