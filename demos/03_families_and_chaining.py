@@ -22,10 +22,10 @@ def main():
     rho0 = ek.ha_state(3, gamma_star)
     sigma = ek.separable_catalog(w0.space)["maximally-mixed"]
 
-    family = ek.mixing_family(w0, rho0, sigma)
-    print(f"\nmixing family threshold: alpha < {family.alpha_threshold:.6f}")
-    alphas = [0.0, family.alpha_threshold / 4, family.alpha_threshold / 2]
-    states = ek.sample_sppt(family, alphas)
+    alpha_max = ek.alpha_threshold(w0, rho0, sigma)
+    print(f"\nmixing family threshold: alpha < {alpha_max:.6f}")
+    alphas = [0.0, alpha_max / 4, alpha_max / 2]
+    states = ek.sample_sppt(w0, rho0, sigma, alphas)
     for alpha, state in zip(alphas, states):
         value = ek.trace_pair(w0, state)
         ppt = ek.certify_ppt(state, (False, True)).verdict
@@ -35,11 +35,11 @@ def main():
     print(f"convex mix of two members: Tr = {ek.trace_pair(w0, mixed): .6f} "
           "(the set is convex)")
 
-    perturbations = ek.perturbation_family(w0, ek.projector_p(3), rho0)
+    p = ek.projector_p(3)
     print(f"\nperturbation family threshold: lambda < "
-          f"{perturbations.lambda_threshold:.6f}")
+          f"{ek.lambda_threshold(w0, p, rho0):.6f}")
     lams = [0.0, 0.05, 0.1]
-    witnesses = ek.sample_wind(perturbations, lams)
+    witnesses = ek.sample_wind(w0, p, rho0, lams)
     for lam, w in zip(lams, witnesses):
         print(f"  lambda = {lam:.2f}: Tr(W_lambda rho0) = "
               f"{ek.trace_pair(w, rho0): .6f}")
@@ -47,14 +47,13 @@ def main():
     print("\nchaining: pick a perturbed witness, mix a new state for it,")
     print("and the pair seeds the construction again")
     w_new = witnesses[2]
-    w_next, rho_next = ek.chain_pair(w_new, family)
+    w_next, rho_next = ek.chain_pair(w_new, rho0, sigma)
     print(f"  new pair pairing: {ek.trace_pair(w_next, rho_next): .6f}")
-    next_family = ek.mixing_family(w_next, rho_next, sigma)
-    print(f"  next mixing threshold: {next_family.alpha_threshold:.6f}")
+    print(f"  next mixing threshold: {ek.alpha_threshold(w_next, rho_next, sigma):.6f}")
 
     ccp = ek.witness_dk(3, 2)
     print("\na completely copositive operator cannot seed the chain:")
-    print(f"  chain_pair returns {ek.chain_pair(ccp, family)}")
+    print(f"  chain_pair returns {ek.chain_pair(ccp, rho0, sigma)}")
 
 
 if __name__ == "__main__":

@@ -248,11 +248,8 @@ def perturbed_witness(d: int, k: int, lam: float = 0.0, mu: float = 0.0) -> Herm
     for name, value in (("lambda", lam), ("mu", mu)):
         if not np.isfinite(value) or value < 0:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    if lam:
-        w = w + lam * projector_p(d)
-    if mu:
-        w = w + mu * projector_q(d)
-    return w
+    p, q = projector_p(d).matrix, projector_q(d).matrix
+    return HermitianOp(w.space, w.matrix + lam * p + mu * q)
 
 
 def convex_combination(ops: list[HermitianOp], weights: list[float]) -> HermitianOp:

@@ -9,6 +9,7 @@ row-major mixed-radix, and the Kronecker product follows the same layout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +42,10 @@ class TensorSpace:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError as exc:
+            raise ValueError(f"local dimensions must be integers, got {self.dims!r}") from exc
         if len(dims) < 1:
             raise ValueError("a tensor space needs at least one factor")
         if any(d < 2 for d in dims):
@@ -57,15 +61,11 @@ class TensorSpace:
         return len(self.dims)
 
     def composite_index(self, local_indices: Sequence[int]) -> int:
-        """Row-major mixed-radix index of a product basis vector."""
-        if len(local_indices) != self.nparts:
-            raise ValueError("one local index per factor required")
-        idx = 0
-        for i, d in zip(local_indices, self.dims):
-            if not 0 <= i < d:
-                raise ValueError(f"local index {i} out of range for dimension {d}")
-            idx = idx * d + i
-        return idx
+        """Row-major mixed-radix index of a product basis vector.
+
+        A wrong number of indices, or an index outside [0, d), raises ValueError.
+        """
+        return int(np.ravel_multi_index(tuple(local_indices), self.dims))
 
 
 def bipartite(d: int) -> TensorSpace:

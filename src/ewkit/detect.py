@@ -1,9 +1,12 @@
-"""Detection thresholds and the families they bound.
+"""Detection thresholds of a seed pair, and samplers of the sets they bound.
 
 Given a witness and a state it detects, the trace pairing is affine along
 the mixing line rho_alpha = (1-alpha) rho0 + alpha sigma_sep and along the
 perturbation line W_lambda = W0 + lambda P, so the suprema keeping the
 pairing negative come out in closed form. Scans exist only as test oracles.
+The samplers take the pair in the argument order of their threshold
+function (sample_sppt of alpha_threshold, sample_wind of lambda_threshold)
+and compute the bound themselves.
 
 Thresholds are EXCLUSIVE bounds: the underlying sets are open, and the
 samplers reject parameters equal to the threshold.
@@ -44,7 +47,7 @@ TOLERANCE_ZERO = 1e-12
 #: mixing line) only when Tr(W sigma) falls below -SEPARABLE_TRACE_SLACK.
 SEPARABLE_TRACE_SLACK = 1e-10
 
-#: How far from one the trace of a mixing family's states may be.
+#: How far from one the traces of sample_sppt's rho0 and sigma_sep may be.
 UNIT_TRACE_TOL = 1e-10
 
 
@@ -119,79 +122,38 @@ def mu_threshold(
     return _affine_root(t_lam, lambda: trace_pair(q, rho0))
 
 
-@dataclass(frozen=True)
-class MixingFamily:
-    """The states (1-alpha) rho0 + alpha sigma_sep below the detection threshold.
+def sample_sppt(
+    w: HermitianOp, rho0: HermitianOp, sigma_sep: HermitianOp, alphas: list[float]
+) -> list[HermitianOp]:
+    """States (1-alpha) rho0 + alpha sigma_sep for each alpha below alpha_threshold.
 
     The caller vouches that sigma_sep is separable by choosing it; the
     library cannot decide separability and only ships known separable states
-    (see separable_catalog).
+    (see separable_catalog). rho0 and sigma_sep must have unit trace. Every
+    returned state is verified to be detected (trace below DETECTION_TOL,
+    the predicate certify_detection uses) and, on bipartite spaces, PPT; a
+    failure means the inputs were inconsistent and raises rather than
+    returning a bad sample.
     """
-
-    witness: HermitianOp
-    rho0: HermitianOp
-    sigma_sep: HermitianOp
-    alpha_threshold: float | None
-
-
-def mixing_family(
-    w: HermitianOp, rho0: HermitianOp, sigma_sep: HermitianOp
-) -> MixingFamily:
     w._require_same_space(rho0)
     w._require_same_space(sigma_sep)
     for name, op in (("rho0", rho0), ("sigma_sep", sigma_sep)):
         if abs(op.trace() - 1.0) > UNIT_TRACE_TOL:
             raise ValueError(f"{name} must have unit trace, got {op.trace()!r}")
-    return MixingFamily(
-        witness=w,
-        rho0=rho0,
-        sigma_sep=sigma_sep,
-        alpha_threshold=alpha_threshold(w, rho0, sigma_sep),
-    )
-
-
-@dataclass(frozen=True)
-class PerturbationFamily:
-    """The witnesses W0 + lambda P below the detection threshold for rho0."""
-
-    w0: HermitianOp
-    p: HermitianOp
-    rho0: HermitianOp
-    lambda_threshold: float | None
-
-
-def perturbation_family(
-    w0: HermitianOp, p: HermitianOp, rho0: HermitianOp
-) -> PerturbationFamily:
-    w0._require_same_space(p)
-    w0._require_same_space(rho0)
-    return PerturbationFamily(
-        w0=w0, p=p, rho0=rho0, lambda_threshold=lambda_threshold(w0, p, rho0)
-    )
-
-
-def sample_sppt(family: MixingFamily, alphas: list[float]) -> list[HermitianOp]:
-    """States rho_alpha for each alpha strictly below the family threshold.
-
-    Every returned state is verified to be detected (trace below
-    DETECTION_TOL, the predicate certify_detection uses) and, on
-    bipartite spaces, PPT; a failure means the family inputs were
-    inconsistent and raises rather than returning a bad sample.
-    """
-    threshold = family.alpha_threshold
+    threshold = alpha_threshold(w, rho0, sigma_sep)
     if threshold is None:
-        raise ValueError("family has no detection threshold; nothing to sample")
+        raise ValueError("the pair has no detection threshold; nothing to sample")
     out = []
-    bits = _default_sigma(family.rho0.space)
+    bits = _default_sigma(rho0.space)
     for alpha in alphas:
         if not 0.0 <= alpha < threshold:
             raise ValueError(
                 f"alpha={alpha!r} outside the open interval [0, {threshold!r})"
             )
-        rho = convex_combination([family.rho0, family.sigma_sep], [1.0 - alpha, alpha])
-        if trace_pair(family.witness, rho) >= DETECTION_TOL:
+        rho = convex_combination([rho0, sigma_sep], [1.0 - alpha, alpha])
+        if trace_pair(w, rho) >= DETECTION_TOL:
             raise ArithmeticError(f"sampled state at alpha={alpha!r} is not detected")
-        if family.rho0.space.nparts == 2:
+        if rho0.space.nparts == 2:
             ok, spectrum = is_psd(partial_transpose(rho, bits))
             if not ok:
                 raise ArithmeticError(
@@ -202,40 +164,42 @@ def sample_sppt(family: MixingFamily, alphas: list[float]) -> list[HermitianOp]:
     return out
 
 
-def sample_wind(family: PerturbationFamily, lambdas: list[float]) -> list[HermitianOp]:
-    """Witnesses W0 + lambda P for each lambda strictly below the threshold.
+def sample_wind(
+    w0: HermitianOp, p: HermitianOp, rho0: HermitianOp, lambdas: list[float]
+) -> list[HermitianOp]:
+    """Witnesses W0 + lambda P for each lambda strictly below lambda_threshold.
 
     Every returned witness is verified to detect rho0 (trace below
     DETECTION_TOL); a failure raises rather than returning a bad sample.
     """
-    threshold = family.lambda_threshold
+    threshold = lambda_threshold(w0, p, rho0)
     if threshold is None:
-        raise ValueError("family has no detection threshold; nothing to sample")
+        raise ValueError("the pair has no detection threshold; nothing to sample")
     out = []
     for lam in lambdas:
         if not (0.0 <= lam and lam < threshold):
             raise ValueError(
                 f"lambda={lam!r} outside the open interval [0, {threshold!r})"
             )
-        w = HermitianOp(family.w0.space, family.w0.matrix + lam * family.p.matrix)
-        if trace_pair(w, family.rho0) >= DETECTION_TOL:
+        w = HermitianOp(w0.space, w0.matrix + lam * p.matrix)
+        if trace_pair(w, rho0) >= DETECTION_TOL:
             raise ArithmeticError(f"sampled witness at lambda={lam!r} lost detection")
         out.append(w)
     return out
 
 
 def chain_pair(
-    w_new: HermitianOp, family: MixingFamily
+    w_new: HermitianOp, rho0: HermitianOp, sigma_sep: HermitianOp
 ) -> tuple[HermitianOp, HermitianOp] | None:
-    """Next seed pair (w_new, rho_alpha) with alpha at half the mixing bound.
+    """Next seed pair (w_new, rho_alpha): sample_sppt at half of w_new's mixing bound.
 
-    None when w_new does not detect the family's rho0.
+    None when w_new does not detect rho0; raises as sample_sppt does when
+    the mixed state is not detected or (on bipartite spaces) not PPT.
     """
-    threshold = alpha_threshold(w_new, family.rho0, family.sigma_sep)
+    threshold = alpha_threshold(w_new, rho0, sigma_sep)
     if threshold is None:
         return None
-    alpha = threshold / 2.0
-    rho = convex_combination([family.rho0, family.sigma_sep], [1.0 - alpha, alpha])
+    (rho,) = sample_sppt(w_new, rho0, sigma_sep, [threshold / 2.0])
     return w_new, rho
 
 

@@ -123,8 +123,15 @@ def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
 
 
 def write_operator(path: str, op: HermitianOp, meta: dict | None = None) -> None:
-    """Write json.dumps of {"dims", "re", "im", "meta"} and a newline."""
-    dims, meta_text = json.dumps(list(op.space.dims)), json.dumps(meta or {})
+    """Write json.dumps of {"dims", "re", "im", "meta"} and a newline.
+
+    meta must be a dict (or None for {}) of JSON values: NaN and the
+    infinities are refused, as read_operator refuses them.
+    """
+    if meta is not None and not isinstance(meta, dict):
+        raise ValueError("meta must be a JSON object")
+    dims = json.dumps(list(op.space.dims))
+    meta_text = json.dumps(meta or {}, allow_nan=False)
     (re,), (im,) = _json_texts(op.matrix.real[None]), _json_texts(op.matrix.imag[None])
     _write_text(path, f'{{"dims": {dims}, "re": {re}, "im": {im}, "meta": {meta_text}}}\n')
 

@@ -48,10 +48,17 @@ class TestTensorSpace:
             TensorSpace((1, 3))
         with pytest.raises(ValueError):
             TensorSpace(())
+        for dims in [(2.5, 3), ("3", "3"), (3.0, 3)]:
+            with pytest.raises(ValueError, match="must be integers"):
+                TensorSpace(dims)
+        with pytest.raises(ValueError, match="must be integers"):
+            HermitianOp(bipartite(2.5), np.eye(4))
+        assert TensorSpace((np.int64(3), 4)).dims == (3, 4)
 
     def test_index_range_checked(self):
-        with pytest.raises(ValueError):
-            TensorSpace((2, 2)).composite_index([0, 2])
+        for local_indices in ([0, 2], [-1, 0], [0], [0, 0, 0]):
+            with pytest.raises(ValueError):
+                TensorSpace((2, 2)).composite_index(local_indices)
 
 
 class TestHermitianOp:

@@ -15,11 +15,10 @@ from ewkit import (
     ha_state,
     is_psd,
     lambda_threshold,
+    max_entangled_projector,
     maximally_mixed,
-    mixing_family,
     mu_threshold,
     partial_transpose,
-    perturbation_family,
     perturbed_witness,
     product_basis_state,
     projector_p,
@@ -264,125 +263,131 @@ class TestRandomizedScanAgreement:
 
 
 class TestMixingFamilyAndSampling:
-    def make_family(self):
+    def make_pair(self):
         w0 = witness_dk(3, 1)
-        return mixing_family(
-            w0, ha_state(3, GAMMA_STAR), maximally_mixed(w0.space)
-        )
+        return w0, ha_state(3, GAMMA_STAR), maximally_mixed(w0.space)
 
     def test_alpha_zero_returns_rho0(self):
-        family = self.make_family()
-        (state,) = sample_sppt(family, [0.0])
-        assert np.array_equal(state.matrix, family.rho0.matrix)
+        w0, rho0, sigma = self.make_pair()
+        (state,) = sample_sppt(w0, rho0, sigma, [0.0])
+        assert np.array_equal(state.matrix, rho0.matrix)
 
     def test_half_threshold_sample_is_detected_ppt(self):
-        family = self.make_family()
-        (state,) = sample_sppt(family, [family.alpha_threshold / 2])
+        w0, rho0, sigma = self.make_pair()
+        (state,) = sample_sppt(w0, rho0, sigma, [alpha_threshold(w0, rho0, sigma) / 2])
         assert abs(state.trace() - 1.0) <= 1e-12
         ok, _ = is_psd(state)
         assert ok
         ok_pt, _ = is_psd(partial_transpose(state, (False, True)))
         assert ok_pt
-        assert trace_pair(family.witness, state) < 0
+        assert trace_pair(w0, state) < 0
 
     def test_mixture_of_samples_stays_detected(self):
-        family = self.make_family()
-        thr = family.alpha_threshold
-        a, b = sample_sppt(family, [thr / 4, thr / 2])
+        w0, rho0, sigma = self.make_pair()
+        thr = alpha_threshold(w0, rho0, sigma)
+        a, b = sample_sppt(w0, rho0, sigma, [thr / 4, thr / 2])
         mixed = convex_combination([a, b], [0.5, 0.5])
-        assert trace_pair(family.witness, mixed) < 0
+        assert trace_pair(w0, mixed) < 0
         ok_pt, _ = is_psd(partial_transpose(mixed, (False, True)))
         assert ok_pt
 
     def test_samples_use_shared_detection_predicate(self):
-        family = self.make_family()
-        thr = family.alpha_threshold
+        w0, rho0, sigma = self.make_pair()
+        thr = alpha_threshold(w0, rho0, sigma)
         # inside the open interval, but the trace (-6.3e-13) is round-off
         with pytest.raises(ArithmeticError, match="not detected"):
-            sample_sppt(family, [thr * (1 - 1e-11)])
-        for state in sample_sppt(family, [0.0, thr / 2, thr * (1 - 1e-9)]):
-            assert certify_detection(family.witness, state).verdict
+            sample_sppt(w0, rho0, sigma, [thr * (1 - 1e-11)])
+        for state in sample_sppt(w0, rho0, sigma, [0.0, thr / 2, thr * (1 - 1e-9)]):
+            assert certify_detection(w0, state).verdict
 
     def test_alpha_at_threshold_rejected(self):
-        family = self.make_family()
+        w0, rho0, sigma = self.make_pair()
         with pytest.raises(ValueError, match="open interval"):
-            sample_sppt(family, [family.alpha_threshold])
+            sample_sppt(w0, rho0, sigma, [alpha_threshold(w0, rho0, sigma)])
         with pytest.raises(ValueError, match="open interval"):
-            sample_sppt(family, [-0.01])
+            sample_sppt(w0, rho0, sigma, [-0.01])
 
     def test_undetected_family_cannot_be_sampled(self):
         w0 = witness_dk(3, 1)
-        family = mixing_family(w0, ha_state(3, 1.0), maximally_mixed(w0.space))
-        assert family.alpha_threshold is None
+        rho0, sigma = ha_state(3, 1.0), maximally_mixed(w0.space)
+        assert alpha_threshold(w0, rho0, sigma) is None
         with pytest.raises(ValueError, match="no detection threshold"):
-            sample_sppt(family, [0.0])
+            sample_sppt(w0, rho0, sigma, [0.0])
 
     def test_family_requires_unit_traces(self):
         w0 = witness_dk(3, 1)
         with pytest.raises(ValueError, match="unit trace"):
-            mixing_family(w0, w0, maximally_mixed(w0.space))
+            sample_sppt(w0, w0, maximally_mixed(w0.space), [0.0])
+
+    def test_sigma_on_another_space_rejected(self):
+        w0, rho0, _ = self.make_pair()
+        with pytest.raises(ValueError, match="spaces differ"):
+            sample_sppt(w0, rho0, maximally_mixed(bipartite(2)), [0.0])
 
 
 class TestPerturbationFamilyAndSampling:
-    def make_family(self):
-        w0 = witness_dk(3, 1)
-        return perturbation_family(w0, projector_p(3), ha_state(3, GAMMA_STAR))
+    def make_pair(self):
+        return witness_dk(3, 1), projector_p(3), ha_state(3, GAMMA_STAR)
 
     def test_lambda_zero_returns_w0(self):
-        family = self.make_family()
-        (w,) = sample_wind(family, [0.0])
-        assert np.array_equal(w.matrix, family.w0.matrix)
+        w0, p, rho0 = self.make_pair()
+        (w,) = sample_wind(w0, p, rho0, [0.0])
+        assert np.array_equal(w.matrix, w0.matrix)
 
     def test_sampled_witness_detects_and_differs_by_psd(self):
-        family = self.make_family()
-        (w,) = sample_wind(family, [0.1])
-        assert trace_pair(w, family.rho0) < 0
-        ok, _ = is_psd(w - family.w0)
+        w0, p, rho0 = self.make_pair()
+        (w,) = sample_wind(w0, p, rho0, [0.1])
+        assert trace_pair(w, rho0) < 0
+        ok, _ = is_psd(w - w0)
         assert ok
 
     def test_mixture_of_sampled_witnesses_detects(self):
-        family = self.make_family()
-        a, b = sample_wind(family, [0.02, 0.1])
+        w0, p, rho0 = self.make_pair()
+        a, b = sample_wind(w0, p, rho0, [0.02, 0.1])
         mixed = convex_combination([a, b], [0.3, 0.7])
-        assert trace_pair(mixed, family.rho0) < 0
+        assert trace_pair(mixed, rho0) < 0
 
     def test_samples_use_shared_detection_predicate(self):
-        family = self.make_family()
-        thr = family.lambda_threshold
+        w0, p, rho0 = self.make_pair()
+        thr = lambda_threshold(w0, p, rho0)
         with pytest.raises(ArithmeticError, match="lost detection"):
-            sample_wind(family, [thr * (1 - 1e-11)])
-        for w in sample_wind(family, [0.0, thr / 2, thr * (1 - 1e-9)]):
-            assert certify_detection(w, family.rho0).verdict
+            sample_wind(w0, p, rho0, [thr * (1 - 1e-11)])
+        for w in sample_wind(w0, p, rho0, [0.0, thr / 2, thr * (1 - 1e-9)]):
+            assert certify_detection(w, rho0).verdict
 
     def test_lambda_at_threshold_rejected(self):
-        family = self.make_family()
+        w0, p, rho0 = self.make_pair()
         with pytest.raises(ValueError, match="open interval"):
-            sample_wind(family, [family.lambda_threshold])
+            sample_wind(w0, p, rho0, [lambda_threshold(w0, p, rho0)])
 
     def test_undetected_family_cannot_be_sampled(self):
-        family = perturbation_family(witness_dk(3, 1), projector_p(3), ha_state(3, 1.0))
-        assert family.lambda_threshold is None
+        w0, p, rho0 = witness_dk(3, 1), projector_p(3), ha_state(3, 1.0)
+        assert lambda_threshold(w0, p, rho0) is None
         with pytest.raises(ValueError, match="no detection threshold"):
-            sample_wind(family, [0.0])
+            sample_wind(w0, p, rho0, [0.0])
+
+    def test_p_must_be_psd(self):
+        w0, p, rho0 = self.make_pair()
+        with pytest.raises(ValueError, match="P must be PSD"):
+            sample_wind(w0, -p, rho0, [0.0])
 
 
 class TestChainPair:
     def test_self_chaining_reproduces_sample(self):
         w0 = witness_dk(3, 1)
-        family = mixing_family(w0, ha_state(3, GAMMA_STAR), maximally_mixed(w0.space))
-        result = chain_pair(w0, family)
+        rho0, sigma = ha_state(3, GAMMA_STAR), maximally_mixed(w0.space)
+        result = chain_pair(w0, rho0, sigma)
         assert result is not None
         w_next, rho_next = result
         assert w_next is w0
-        (expected,) = sample_sppt(family, [family.alpha_threshold / 2])
+        (expected,) = sample_sppt(w0, rho0, sigma, [alpha_threshold(w0, rho0, sigma) / 2])
         assert np.array_equal(rho_next.matrix, expected.matrix)
 
     def test_perturbed_witness_chains_with_smaller_margin(self):
         w0 = witness_dk(3, 1)
         rho0 = ha_state(3, GAMMA_STAR)
-        family = mixing_family(w0, rho0, maximally_mixed(w0.space))
         w_new = perturbed_witness(3, 1, 0.05)
-        result = chain_pair(w_new, family)
+        result = chain_pair(w_new, rho0, maximally_mixed(w0.space))
         assert result is not None
         _, rho_next = result
         assert trace_pair(w_new, rho_next) < 0
@@ -390,9 +395,14 @@ class TestChainPair:
 
     def test_non_detecting_witness_gives_none(self):
         w0 = witness_dk(3, 1)
-        family = mixing_family(w0, ha_state(3, GAMMA_STAR), maximally_mixed(w0.space))
         ccp = witness_dk(3, 2)  # completely copositive: detects no PPT state
-        assert chain_pair(ccp, family) is None
+        assert chain_pair(ccp, ha_state(3, GAMMA_STAR), maximally_mixed(w0.space)) is None
+
+    def test_npt_seed_state_raises(self):
+        w0 = witness_dk(3, 1)
+        rho0 = max_entangled_projector(3)  # detected by W0, but NPT
+        with pytest.raises(ArithmeticError, match="not PPT"):
+            chain_pair(w0, rho0, maximally_mixed(w0.space))
 
 
 class TestSweep:

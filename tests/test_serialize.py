@@ -223,6 +223,20 @@ class TestOperatorRoundTrip:
             write_operator(str(path), ha_state(3, 0.37), {"d": np.int64(3)})
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("meta, message", [
+        ([1], "meta must be a JSON object"),
+        ("note", "meta must be a JSON object"),
+        ({"x": float("nan")}, "not JSON compliant"),
+        ({"x": [float("inf")]}, "not JSON compliant"),
+    ])
+    def test_writer_refuses_meta_the_reader_refuses(self, tmp_path, meta, message):
+        path = tmp_path / "w.json"
+        write_operator(str(path), witness_dk(3, 1))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=message):
+            write_operator(str(path), ha_state(3, 0.37), meta)
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize("name", BAD_OPERATOR_DOCS)
     def test_bad_document_rejected_and_pair_exits_3(self, tmp_path, capsys, name):
         doc, message = BAD_OPERATOR_DOCS[name]
