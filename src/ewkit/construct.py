@@ -38,6 +38,21 @@ def _validate_dk(d: int, k: int) -> None:
         raise ValueError(f"k must satisfy 1 <= k <= d-1, got k={k} for d={d}")
 
 
+def _ha_weights(d: int, gamma):
+    """The weights (a_gamma, b_gamma, n_gamma) of StateFamilyParams, elementwise.
+
+    gamma is a number or an array of them. Raises ValueError unless d >= 3
+    and every gamma is finite and > 0, naming the first gamma that is not.
+    """
+    _validate_d(d)
+    ok = np.isfinite(gamma) & (np.asarray(gamma) > 0)
+    if not np.all(ok):
+        bad = np.asarray(gamma).flat[np.argmin(ok)]
+        raise ValueError(f"gamma must be finite and > 0, got {bad}")
+    g2, gm2 = gamma**2, gamma**-2
+    return (g2 + d - 1) / d, (gm2 + d - 1) / d, d**2 - 2 + g2 + gm2
+
+
 @dataclass(frozen=True)
 class StateFamilyParams:
     """Parameters (d, gamma) of the Ha state family with derived weights.
@@ -50,21 +65,19 @@ class StateFamilyParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        _validate_d(self.d)
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        _ha_weights(self.d, self.gamma)
 
     @property
     def a_gamma(self) -> float:
-        return (self.gamma**2 + self.d - 1) / self.d
+        return _ha_weights(self.d, self.gamma)[0]
 
     @property
     def b_gamma(self) -> float:
-        return (self.gamma**-2 + self.d - 1) / self.d
+        return _ha_weights(self.d, self.gamma)[1]
 
     @property
     def n_gamma(self) -> float:
-        return self.d**2 - 2 + self.gamma**2 + self.gamma**-2
+        return _ha_weights(self.d, self.gamma)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +158,18 @@ def _comb_and_cyclic_diagonal(d: int, comb: float, base: np.ndarray) -> np.ndarr
     return m
 
 
+def _ha_parts(d: int) -> np.ndarray:
+    """(R1, Ra, Rb), stacked: n_gamma rho_gamma = R1 + (a_gamma - 1) Ra + (b_gamma - 1) Rb.
+
+    R1 is the comb with a unit diagonal (n_1 times the gamma = 1 state); Ra
+    and Rb mark the diagonal entries ha_state fills with a_gamma and b_gamma,
+    the cyclic shifts 1 and d - 1 of its layout.
+    """
+    units = np.eye(d)
+    return np.stack([_comb_and_cyclic_diagonal(d, comb, base) for comb, base in
+                     ((1.0, np.ones(d)), (0.0, units[1]), (0.0, units[d - 1]))])
+
+
 def witness_dk(d: int, k: int) -> HermitianOp:
     """Block entanglement witness on C^d x C^d.
 
@@ -198,8 +223,7 @@ def ha_state(d: int, gamma: float) -> HermitianOp:
     Entangled for gamma < 1, separable at gamma = 1, undetected by the
     witness family for gamma >= 1.
     """
-    params = StateFamilyParams(d, gamma)
-    a, b, n = params.a_gamma, params.b_gamma, params.n_gamma
+    a, b, n = _ha_weights(d, gamma)
     base = np.ones(d, dtype=complex)
     base[1], base[d - 1] = a, b
     return HermitianOp(bipartite(d), _comb_and_cyclic_diagonal(d, 1.0, base) / n)

@@ -21,6 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .construct import (
+    _ha_parts,
+    _ha_weights,
     convex_combination,
     ha_state,
     maximally_mixed,
@@ -131,9 +133,9 @@ def sample_sppt(
     library cannot decide separability and only ships known separable states
     (see separable_catalog). rho0 and sigma_sep must have unit trace. Every
     returned state is verified to be detected (trace below DETECTION_TOL,
-    the predicate certify_detection uses) and, on bipartite spaces, PPT; a
-    failure means the inputs were inconsistent and raises rather than
-    returning a bad sample.
+    the predicate certify_detection uses) and, on every space, PPT under the
+    default sigma (the last factor transposed); a failure means the inputs
+    were inconsistent and raises rather than returning a bad sample.
     """
     w._require_same_space(rho0)
     w._require_same_space(sigma_sep)
@@ -153,13 +155,12 @@ def sample_sppt(
         rho = convex_combination([rho0, sigma_sep], [1.0 - alpha, alpha])
         if trace_pair(w, rho) >= DETECTION_TOL:
             raise ArithmeticError(f"sampled state at alpha={alpha!r} is not detected")
-        if rho0.space.nparts == 2:
-            ok, spectrum = is_psd(partial_transpose(rho, bits))
-            if not ok:
-                raise ArithmeticError(
-                    f"sampled state at alpha={alpha!r} is not PPT "
-                    f"(min eigenvalue {spectrum.min:.3e})"
-                )
+        ok, spectrum = is_psd(partial_transpose(rho, bits))
+        if not ok:
+            raise ArithmeticError(
+                f"sampled state at alpha={alpha!r} is not PPT "
+                f"(min eigenvalue {spectrum.min:.3e})"
+            )
         out.append(rho)
     return out
 
@@ -194,7 +195,7 @@ def chain_pair(
     """Next seed pair (w_new, rho_alpha): sample_sppt at half of w_new's mixing bound.
 
     None when w_new does not detect rho0; raises as sample_sppt does when
-    the mixed state is not detected or (on bipartite spaces) not PPT.
+    the mixed state is not detected or not PPT under the default sigma.
     """
     threshold = alpha_threshold(w_new, rho0, sigma_sep)
     if threshold is None:
@@ -231,16 +232,22 @@ def sweep(
 ) -> SweepTable:
     """Tabulate Tr((W0 + lambda P + mu Q) rho_gamma) over the grids.
 
-    The pairing is affine in (lambda, mu), so per gamma only the three base
-    traces are computed; the grid is one broadcast of t0 + lambda tp + mu tq.
+    rho_gamma = (R1 + (a_gamma - 1) Ra + (b_gamma - 1) Rb) / n_gamma for three
+    fixed operators (construct._ha_parts), so the nine traces of W0, P and Q
+    against R1, Ra and Rb give the (G, 3) base traces of every gamma in one
+    broadcast, and the pairing, affine in (lambda, mu), is one broadcast of
+    t0 + lambda tp + mu tq. No state is built per gamma. The nine traces are
+    sums of small integers, hence exact, so every gamma = 1 row at lambda =
+    mu = 0 is exactly 0.0. Raises ValueError naming the first gamma that is
+    not finite and > 0, and FloatingPointError where gamma^2 or gamma^-2
+    overflows.
     """
-    w0 = witness_dk(d, k)
-    p = projector_p(d)
-    q = projector_q(d)
-    base = np.empty((len(gamma_grid), 3))
-    for i, gamma in enumerate(gamma_grid):
-        rho = ha_state(d, gamma)
-        base[i] = trace_pair(w0, rho), trace_pair(p, rho), trace_pair(q, rho)
+    ops = np.stack([x.matrix for x in (witness_dk(d, k), projector_p(d), projector_q(d))])
+    # Tr(X R) for X in (W0, P, Q), one (1, 3) row per R in (R1, Ra, Rb)
+    t1, ta, tb = np.einsum("xij,rji->rx", ops, _ha_parts(d)).real[:, None]
+    with np.errstate(over="raise"):
+        a, b, n = (v[:, None] for v in _ha_weights(d, np.array(gamma_grid, dtype=float)))
+        base = (t1 + (a - 1) * ta + (b - 1) * tb) / n  # (G, 3)
     t0, tp, tq = base.T[:, :, None, None]  # each (G, 1, 1)
     lam = np.array(lambda_grid, dtype=float)[:, None]  # (L, 1)
     mu = np.array(mu_grid, dtype=float)  # (M,)

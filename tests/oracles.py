@@ -6,16 +6,18 @@ from one Kronecker product per matrix unit and its inverse from one slice
 per block, the tabulated maps from their formulas applied to one matrix
 unit at a time, thresholds come from brute-force sign scans of traces evaluated
 on explicitly mixed matrices, product minima come from a dense grid over
-real product vectors, the sweep, witness, Ha-state and block-positivity
-scan kernels are checked against their per-row, per-block and
-per-restart loops, and the operator and map-table writers against a
-per-entry codec.
+real product vectors, the sweep kernel against a per-gamma loop of exactly
+summed traces, the witness, Ha-state and block-positivity scan kernels
+against their per-block and per-restart loops, and the operator,
+map-table and sweep writers against per-entry and per-row codecs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +30,11 @@ from ewkit import (
     bipartite,
     projector_p,
     projector_q,
-    trace_pair,
     witness_dk,
 )
 from ewkit.certify import NEGATIVITY_CUTOFF, SCAN_CONV_TOL, _haar_product_start
 from ewkit.core import DETECTION_TOL
+from ewkit.detect import SweepTable
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -315,7 +317,10 @@ def ha_state_blocks(d: int, gamma: float) -> HermitianOp:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of a detection sweep."""
+    """One grid point of a detection sweep.
+
+    scale, when known, is the sum of the magnitudes the row's trace adds up.
+    """
 
     gamma: float | None
     lam: float | None
@@ -323,21 +328,31 @@ class SweepRow:
     alpha: float | None
     trace_value: float
     detected: bool
+    scale: float | None = None
+
+
+def exact_pairing(w: np.ndarray, rho: np.ndarray) -> float:
+    """Re Tr(W rho) as the correctly rounded sum (math.fsum) of its products."""
+    return math.fsum((w * rho.T).real.ravel())
 
 
 def sweep_rows(
     d: int, k: int, gamma_grid: list[float], lambda_grid: list[float], mu_grid: list[float]
 ) -> list[SweepRow]:
-    """The sweep one row at a time, gamma outer, lambda middle, mu inner."""
-    w0 = witness_dk(d, k)
-    p = projector_p(d)
-    q = projector_q(d)
+    """The sweep one row at a time, gamma outer, lambda middle, mu inner.
+
+    Each gamma's state is assembled block by block and its three traces are
+    summed exactly, so a row is off the true pairing by a few rounding errors
+    of its scale Tr(|W0| rho) + |lambda| Tr(P rho) + |mu| Tr(Q rho).
+    """
+    w0 = witness_dk(d, k).matrix
+    p = projector_p(d).matrix
+    q = projector_q(d).matrix
     rows = []
     for gamma in gamma_grid:
-        rho = ha_state_blocks(d, gamma)
-        t0 = trace_pair(w0, rho)
-        tp = trace_pair(p, rho)
-        tq = trace_pair(q, rho)
+        rho = ha_state_blocks(d, gamma).matrix
+        t0, tp, tq = (exact_pairing(x, rho) for x in (w0, p, q))
+        s0 = exact_pairing(np.abs(w0), np.abs(rho))  # P, Q and rho are entrywise >= 0
         for lam in lambda_grid:
             for mu in mu_grid:
                 value = t0 + lam * tp + mu * tq
@@ -349,9 +364,21 @@ def sweep_rows(
                         alpha=None,
                         trace_value=value,
                         detected=value < DETECTION_TOL,
+                        scale=s0 + abs(lam) * tp + abs(mu) * tq,
                     )
                 )
     return rows
+
+
+def table_rows(table: SweepTable) -> list[SweepRow]:
+    """The rows of a sweep table, gamma outer, lambda middle, mu inner."""
+    points = itertools.product(table.gammas, table.lams, table.mus)
+    return [
+        SweepRow(gamma, lam, mu, None, value, hit)
+        for (gamma, lam, mu), value, hit in zip(
+            points, table.trace.ravel().tolist(), table.detected.ravel().tolist()
+        )
+    ]
 
 
 def _csv_cell(value: float | None) -> str:

@@ -289,6 +289,21 @@ class TestSweep:
         assert "finite" in err
         assert not out_path.exists()
 
+    def test_non_positive_gamma_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sweep", "--d", "5", "--k", "1",
+                           "--gamma-grid=-0.5:1:0.5", "--out", str(out_path))
+        assert code == 2
+        assert "gamma must be finite and > 0, got -0.5" in err
+        assert not out_path.exists()
+
+    def test_gamma_one_row_is_exactly_zero(self, tmp_path, capsys):
+        out_path = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sweep", "--d", "5", "--k", "1",
+                         "--gamma-grid", "1", "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text().split("\n")[1] == "1.0,0.0,0.0,,0.0,false"
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

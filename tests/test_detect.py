@@ -12,6 +12,7 @@ from ewkit import (
     certify_detection,
     chain_pair,
     convex_combination,
+    ghz_projector,
     ha_state,
     is_psd,
     lambda_threshold,
@@ -404,6 +405,12 @@ class TestChainPair:
         with pytest.raises(ArithmeticError, match="not PPT"):
             chain_pair(w0, rho0, maximally_mixed(w0.space))
 
+    def test_npt_state_on_three_parties_raises(self):
+        g = ghz_projector(3, 2)  # detected by I/2 - g, NPT on the last factor
+        w = HermitianOp(g.space, np.eye(g.dim) / 2 - g.matrix)
+        with pytest.raises(ArithmeticError, match="not PPT"):
+            chain_pair(w, g, maximally_mixed(g.space))
+
 
 class TestSweep:
     def test_single_point_value(self):
@@ -432,11 +439,35 @@ class TestSweep:
                 assert table.detected[gi, li, mi] == certify_detection(w, rho).verdict
 
     def test_separable_gamma_one_never_detected(self):
-        # round-off leaves Tr(W0 rho_1) at about -1e-17 for many (d, k)
-        for d in range(3, 13):
-            for k in range(1, d - 1):
+        # Tr(W0 rho_1) is n_1^-1 times an exact integer sum, zero for every k
+        for d in range(3, 21):
+            for k in range(1, d):
                 table = sweep(d, k, [1.0], [0.0, 0.01], [0.0, 0.01])
+                value = table.trace[0, 0, 0]
+                assert value == 0.0 and not np.signbit(value), (d, k, value)
                 assert not table.detected.any(), (d, k, table.trace.min())
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_gamma_not_finite_and_positive_raises(self, bad):
+        with pytest.raises(ValueError, match=f"gamma must be finite and > 0, got {bad}$"):
+            sweep(3, 1, [0.5, bad, 0.7], [0.0], [0.0])
+
+    @pytest.mark.parametrize("gamma", [1e-160, 1e160])
+    def test_gamma_weight_overflow_raises(self, gamma):
+        with pytest.raises(ArithmeticError):  # not a silent inf or nan trace
+            sweep(3, 1, [0.5, gamma], [0.0], [0.0])
+
+    def test_gate_calls_independent_of_gamma_count(self, monkeypatch):
+        calls = []
+        gate = HermitianOp.__post_init__
+        monkeypatch.setattr(HermitianOp, "__post_init__",
+                            lambda op: (calls.append(op), gate(op))[1])
+        counts = []
+        for n in (1, 1000):
+            calls.clear()
+            sweep(5, 1, np.linspace(0.1, 2.0, n).tolist(), [0.0, 0.1], [0.0])
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_gamma_at_least_one_not_detected(self):
         table = sweep(3, 1, [1.0, 1.1, 1.2], [0.0, 0.05], [0.0, 0.05])

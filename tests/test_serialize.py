@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewkit import (
     HermitianOp,
@@ -32,11 +34,13 @@ from ewkit import (
     write_sweep_csv,
 )
 from ewkit.cli import main
+from ewkit.core import DETECTION_TOL
 
 from oracles import (
     random_hermitian,
     sweep_rows,
     sweep_rows_csv,
+    table_rows,
     write_map_table_per_entry,
     write_operator_per_entry,
 )
@@ -400,6 +404,39 @@ class TestMapTableRoundTrip:
                 assert table.image(i, j).tobytes() == block.tobytes()
 
 
+SWEEP_GRIDS = [
+    (3, 1, [0.1 * i for i in range(1, 12)], [0.0, 0.05, 0.1], [0.0, 0.03]),
+    (5, 1, [0.25 * i for i in range(1, 7)], [0.0, 0.01], [0.0, 0.02, 0.04]),
+    (6, 2, [0.5, 0.75, 1.0, 1.5], [0.0, 0.003, 0.007], [0.0, 0.004]),
+    (10, 3, [1.0 - 8 / 64 + i / 64 for i in range(16)], [0.0, 0.004], [0.0, 0.006]),
+    (3, 1, [0.1 + 2 * 0.1], [0.1 + 2 * 0.1], [0.1 + 2 * 0.1]),
+    (4, 1, [0.7], [0.0], [0.0]),
+    (5, 2, [0.6, 1.0], [-0.05, -0.025, 0.0, 0.025], [0.0]),
+    (3, 1, [], [0.0, 0.1], [0.0]),
+    (3, 1, [0.5, 0.7], [], [0.0]),
+]
+
+#: How many rounding errors of a row's scale the closed-form sweep may sit
+#: from the oracle's exactly summed trace (at most 2 seen for d <= 20).
+SWEEP_ULPS = 4
+
+
+def assert_sweep_matches_oracle(d, k, gammas, lams, mus):
+    """Each trace within SWEEP_ULPS * eps * scale of the oracle's.
+
+    Verdicts are equal wherever the oracle's trace is farther than that
+    from DETECTION_TOL.
+    """
+    table = sweep(d, k, gammas, lams, mus)
+    rows = sweep_rows(d, k, gammas, lams, mus)
+    assert len(table) == len(rows)
+    for row, value, hit in zip(rows, table.trace.ravel(), table.detected.ravel()):
+        bound = SWEEP_ULPS * np.finfo(float).eps * row.scale
+        assert abs(value - row.trace_value) <= bound, (row, value)
+        if abs(row.trace_value - DETECTION_TOL) > bound:
+            assert hit == row.detected, (row, value)
+
+
 class TestSweepCsv:
     def test_header_and_shape(self):
         text = sweep_to_csv(sweep(3, 1, [0.5], [0.0], [0.0]))
@@ -436,23 +473,26 @@ class TestSweepCsv:
         assert len(rows) == 8
         assert all(len(cells) == 6 and cells[3] == "" for cells in rows)
 
-    @pytest.mark.parametrize(
-        "d, k, gammas, lams, mus",
-        [
-            (3, 1, [0.1 * i for i in range(1, 12)], [0.0, 0.05, 0.1], [0.0, 0.03]),
-            (5, 1, [0.25 * i for i in range(1, 7)], [0.0, 0.01], [0.0, 0.02, 0.04]),
-            (6, 2, [0.5, 0.75, 1.0, 1.5], [0.0, 0.003, 0.007], [0.0, 0.004]),
-            (10, 3, [1.0 - 8 / 64 + i / 64 for i in range(16)], [0.0, 0.004], [0.0, 0.006]),
-            (3, 1, [0.1 + 2 * 0.1], [0.1 + 2 * 0.1], [0.1 + 2 * 0.1]),
-            (4, 1, [0.7], [0.0], [0.0]),
-            (5, 2, [0.6, 1.0], [-0.05, -0.025, 0.0, 0.025], [0.0]),
-            (3, 1, [], [0.0, 0.1], [0.0]),
-            (3, 1, [0.5, 0.7], [], [0.0]),
-        ],
-    )
+    @pytest.mark.parametrize("d, k, gammas, lams, mus", SWEEP_GRIDS)
+    def test_writer_matches_row_by_row_csv(self, d, k, gammas, lams, mus):
+        table = sweep(d, k, gammas, lams, mus)
+        assert sweep_to_csv(table) == sweep_rows_csv(table_rows(table))
+
+    @pytest.mark.parametrize("d, k, gammas, lams, mus", SWEEP_GRIDS)
     def test_matches_row_by_row_oracle(self, d, k, gammas, lams, mus):
-        expected = sweep_rows_csv(sweep_rows(d, k, gammas, lams, mus))
-        assert sweep_to_csv(sweep(d, k, gammas, lams, mus)) == expected
+        assert_sweep_matches_oracle(d, k, gammas, lams, mus)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_row_by_row_oracle_on_drawn_grids(self, data):
+        d = data.draw(st.integers(3, 12), label="d")
+        k = data.draw(st.integers(1, d - 1), label="k")
+        gamma = st.one_of(st.just(1.0), st.floats(1e-3, 1e3))
+        value = st.floats(-1.0, 1.0)
+        gammas = data.draw(st.lists(gamma, max_size=5), label="gammas")
+        lams = data.draw(st.lists(value, min_size=1, max_size=3), label="lams")
+        mus = data.draw(st.lists(value, min_size=1, max_size=3), label="mus")
+        assert_sweep_matches_oracle(d, k, gammas, lams, mus)
 
 
 class TestCertificateJson:
