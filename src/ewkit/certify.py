@@ -17,27 +17,21 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import (
-    DETECTION_TOL,
     HermitianOp,
     TensorSpace,
+    detection_threshold,
     is_psd,
     partial_transpose,
     trace_pair,
 )
 
-#: Product-state values below this cutoff count as genuine block-positivity
-#: violations rather than round-off.
-NEGATIVITY_CUTOFF = -1e-8
-
-#: A scan restart stops once one alternating step moves its objective by at
-#: most this much relative to max(1, |value|).
+#: A scan restart stops once a step moves its objective by at most this times ||W||_F.
 SCAN_CONV_TOL = 1e-12
 
 #: Largest distance revalidate() accepts between a stored evidence float and
 #: the value its producer recomputes, by evidence key ("default" for the
-#: traces and every key not named). Lists are compared entry by entry. A
-#: blockpos "minimum" is compared with its recomputed product value relative
-#: to max(1, |value|).
+#: traces and every key not named). Lists are compared entry by entry, and a
+#: blockpos "minimum" with its recomputed product value relative to ||W||_F.
 REVALIDATE_TOL: dict[str, float] = {
     "default": 1e-12,
     "min_eigenvalue": 1e-9,
@@ -110,12 +104,12 @@ def certify_ppt(rho: HermitianOp, sigma: Sequence[bool]) -> Certificate:
 
 
 def certify_detection(w: HermitianOp, rho: HermitianOp) -> Certificate:
-    """Tr(W rho) < 0 beyond tolerance: rho is detected by W."""
+    """Tr(W rho) below detection_threshold(||W||_F, ||rho||_F): rho is detected by W."""
     value = trace_pair(w, rho)
-    evidence = {"trace": value, "trace_threshold": DETECTION_TOL}
+    evidence = {"trace": value, "trace_threshold": detection_threshold(w.norm(), rho.norm())}
     return Certificate(
         "detection",
-        value < DETECTION_TOL,
+        value < evidence["trace_threshold"],
         evidence,
         operators={"witness": w, "rho": rho},
     )
@@ -203,12 +197,13 @@ def _half_step(
     return eigvals[:, 0], eigvecs[:, :, 0]
 
 
-def _step_converged(previous: Any, value: Any) -> Any:
+def _step_converged(previous: Any, value: Any, w_norm: float) -> Any:
     """Whether a step from previous to value stops a restart, for floats or elementwise.
 
-    It does when |previous - value| is at most SCAN_CONV_TOL times max(1, |value|).
+    It does when |previous - value| <= SCAN_CONV_TOL ||W||_F (not |value|, which
+    vanishes at a block-positive W's minimum).
     """
-    return np.abs(previous - value) <= SCAN_CONV_TOL * np.maximum(1.0, np.abs(value))
+    return np.abs(previous - value) <= SCAN_CONV_TOL * w_norm
 
 
 def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certificate:
@@ -222,17 +217,18 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
     All restarts advance together: each half-step contracts W with the
     stacked outer products of the restarts still running in one matmul and
     solves their eigenproblems in one batched eigh. A restart leaves the
-    stack once its objective moved by at most SCAN_CONV_TOL over its last step;
-    those still running after max_iters steps are counted as unconverged.
+    stack once its last step passed _step_converged; those still running
+    after max_iters steps are counted as unconverged.
 
-    Verdict True means no product vector below NEGATIVITY_CUTOFF was found
-    (heuristic pass); False exhibits a violating product vector, which
-    certifies that W is NOT block positive. The objective is non-increasing
-    across alternating steps; per-restart histories are kept as evidence.
+    Verdict True means no product state |xy><xy| (of Frobenius norm 1) that
+    W detects was found (heuristic pass); False exhibits a violating product
+    vector, which certifies that W is NOT block positive. The objective is
+    non-increasing across alternating steps; histories are kept as evidence.
     """
     if w.space.nparts != 2:
         raise ValueError(f"expected a bipartite space, got {w.space.dims}")
     d1, d2 = w.space.dims
+    w_norm = w.norm()
     w4 = w.matrix.reshape(d1, d2, d1, d2)
     # wy[(j, l), (i, k)] = W[i, j, k, l], wx[(i, k), (j, l)] likewise
     wy = w4.transpose(1, 3, 0, 2).reshape(d2 * d2, d1 * d1)
@@ -252,19 +248,19 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
         xs[active], ys[active] = x, y
         for r, vx, vy in zip(active.tolist(), val_x.tolist(), val_y.tolist()):
             histories[r] += (vx, vy)
-        converged = _step_converged(last[active], val_y)
+        converged = _step_converged(last[active], val_y, w_norm)
         last[active] = val_y
         active = active[~converged]
         if not active.size:
             break
 
-    summary = _history_summary(histories, config.max_iters)
+    summary = _history_summary(histories, config.max_iters, w_norm)
     best_restart = summary["best_restart"]
     x, y = xs[best_restart], ys[best_restart]
     evidence = {
         "minimum": summary["minimum"],
         "product_value": float(_product_values(w.matrix, x[None], y[None])[0]),
-        "cutoff": NEGATIVITY_CUTOFF,
+        "cutoff": summary["cutoff"],
         "restarts": config.restarts,
         "max_iters": config.max_iters,
         "conv_tol": SCAN_CONV_TOL,
@@ -280,18 +276,18 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
     }
     return Certificate(
         "blockpos-scan",
-        summary["minimum"] >= NEGATIVITY_CUTOFF,
+        summary["minimum"] >= summary["cutoff"],
         evidence,
         operators={"witness": w},
     )
 
 
-def _history_summary(histories: list[list[float]], max_iters: int) -> dict[str, Any]:
-    """The scan evidence that follows from the per-restart objective histories.
+def _history_summary(histories: list[list[float]], max_iters: int, w_norm: float) -> dict:
+    """The scan evidence that follows from the per-restart objective histories and ||W||_F.
 
     The best restart is the first with the lowest final value. A restart is
     unconverged when it took max_iters steps and its last step still failed
-    _step_converged.
+    _step_converged. The cutoff is the detection threshold of unit product states.
     """
     finals = [h[-1] for h in histories]
     best = int(np.argmin(finals))
@@ -299,10 +295,11 @@ def _history_summary(histories: list[list[float]], max_iters: int) -> dict[str, 
         "minimum": finals[best],
         "best_restart": best,
         "unconverged_restarts": sum(
-            (len(h) - 1) // 2 == max_iters and not _step_converged(h[-3], h[-1])
+            (len(h) - 1) // 2 == max_iters and not _step_converged(h[-3], h[-1], w_norm)
             for h in histories
         ),
         "max_step_increase": float(max(np.diff(h).max() for h in histories)),
+        "cutoff": detection_threshold(w_norm, 1.0),
     }
 
 
@@ -317,13 +314,12 @@ def _scan_consistent(cert: Certificate) -> bool:
     # every restart takes at least one step: its start value, then x and y
     if len(histories) != ev["restarts"] or min(map(len, histories), default=0) < 3:
         return False
-    summary = _history_summary(histories, ev["max_iters"])
+    summary = _history_summary(histories, ev["max_iters"], w.norm())
     return (
         abs(value - ev["product_value"]) <= REVALIDATE_TOL["product_value"]
-        and abs(ev["minimum"] - value) <= REVALIDATE_TOL["minimum"] * max(1.0, abs(value))
-        and ev["cutoff"] == NEGATIVITY_CUTOFF
+        and abs(ev["minimum"] - value) <= REVALIDATE_TOL["minimum"] * w.norm()
         and ev["conv_tol"] == SCAN_CONV_TOL
-        and (value >= NEGATIVITY_CUTOFF) == cert.verdict
+        and (value >= summary["cutoff"]) == cert.verdict
         and all(ev[key] == summary[key] for key in summary)
     )
 

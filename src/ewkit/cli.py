@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -33,7 +34,7 @@ from .construct import (
     projector_q,
     witness_dk,
 )
-from .core import DETECTION_TOL, HermitianOp, _default_sigma, trace_pair
+from .core import HermitianOp, _default_sigma, detection_threshold, trace_pair
 from .detect import (
     alpha_threshold,
     lambda_threshold,
@@ -136,7 +137,7 @@ def _cmd_pair(args: argparse.Namespace) -> int:
     rho, _ = read_operator(args.state)
     value = trace_pair(w, rho)
     print(f"{value:.6f}")
-    print(f"detected: {'true' if value < DETECTION_TOL else 'false'}")
+    print(f"detected: {'true' if value < detection_threshold(w.norm(), rho.norm()) else 'false'}")
     return 0
 
 
@@ -280,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
               _option("-q", required=True, help="second PSD perturbation file"), lam)
 
     p_sweep = sub.add_parser("sweep", help="tabulate pairings over parameter grids")
+    # "-" then a digit is a value, as in argparse >= 3.13: a grid "-0.05:0.05:0.01"
+    p_sweep._negative_number_matcher = re.compile(r"-\.?\d")
     p_sweep.add_argument("--d", type=int, required=True)
     p_sweep.add_argument("--k", type=int, required=True)
     p_sweep.add_argument("--gamma-grid", required=True,

@@ -124,7 +124,7 @@ class LinearMapTable:
                 raise
             # finite: some dev[i, j] = max |phi(e_ij)^dag - phi(e_ji)| exceeds the bound
             dev = np.abs(blocks.conj().transpose(1, 0, 3, 2) - blocks).max(axis=(2, 3))
-            _, bound = _hermiticity_bound(units)
+            bound = _hermiticity_bound(units)
             i, j = np.argwhere(dev > bound)[0]
             raise ValueError(f"map is not Hermiticity preserving at ({i},{j}): "
                              f"deviation {dev[i, j]:.3e}") from None

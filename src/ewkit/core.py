@@ -24,8 +24,8 @@ PSD_RTOL = 1e-10
 #: Largest tolerated imaginary part of Tr(W rho) for Hermitian W, rho.
 TRACE_IMAG_TOL = 1e-10
 
-#: Tr(W rho) counts as detection only below this value; every layer uses it.
-DETECTION_TOL = -1e-12
+#: Tr(W rho) detects rho below -DETECTION_RTOL ||W||_F ||rho||_F (detection_threshold).
+DETECTION_RTOL = 1e-12
 
 #: Which local factors to transpose: one boolean per subsystem.
 SigmaVector = tuple[bool, ...]
@@ -73,13 +73,9 @@ def bipartite(d: int) -> TensorSpace:
     return TensorSpace((d, d))
 
 
-def _hermiticity_bound(m: np.ndarray) -> tuple[float, float]:
-    """(scale, bound) of the gate, which rejects m when max|M - M^dag| > bound.
-
-    scale is max(1, max|m|) and bound is HERMITICITY_RTOL times scale.
-    """
-    scale = max(1.0, float(np.abs(m).max()))
-    return scale, HERMITICITY_RTOL * scale
+def _hermiticity_bound(m: np.ndarray) -> float:
+    """HERMITICITY_RTOL * max|m|: the gate rejects m when max|M - M^dag| exceeds it."""
+    return HERMITICITY_RTOL * float(np.abs(m).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +101,12 @@ class HermitianOp:
             raise ValueError("matrix entries must be finite")
         h = m.conj().T
         if not np.array_equal(m, h):  # an exactly Hermitian m deviates by 0
-            scale, bound = _hermiticity_bound(m)
+            bound = _hermiticity_bound(m)
             deviation = float(np.abs(m - h).max())
             if deviation > bound:
                 raise ValueError(
                     f"matrix is not Hermitian: max|M - M^dag| = {deviation:.3e} "
-                    f"exceeds {HERMITICITY_RTOL:g} * {scale:g}"
+                    f"exceeds {HERMITICITY_RTOL:g} * max|M| = {bound:.3e}"
                 )
         m = (m + h) / 2.0
         m.setflags(write=False)
@@ -143,6 +139,9 @@ class HermitianOp:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.matrix))
+
     def _require_same_space(self, other: "HermitianOp") -> None:
         if self.space != other.space:
             raise ValueError(f"spaces differ: {self.space.dims} vs {other.space.dims}")
@@ -168,8 +167,8 @@ class Spectrum:
 
     @property
     def psd_tolerance(self) -> float:
-        """How far below zero a PSD spectrum may reach: PSD_RTOL * max(1, max |eig|)."""
-        return PSD_RTOL * max(1.0, float(np.abs(self.eigenvalues).max()))
+        """How far below zero a PSD spectrum may reach: PSD_RTOL * max |eig|."""
+        return PSD_RTOL * float(np.abs(self.eigenvalues).max())
 
 
 def tensor_op(a: HermitianOp, b: HermitianOp) -> HermitianOp:
@@ -241,3 +240,12 @@ def trace_pair(w: HermitianOp, rho: HermitianOp) -> float:
             f"Tr(W rho) has imaginary part {value.imag:.3e}; inputs are corrupted"
         )
     return value.real
+
+
+def detection_threshold(w_norm, rho_norm):
+    """-DETECTION_RTOL ||W||_F ||rho||_F from the two Frobenius norms, elementwise.
+
+    Every layer's rule: t = Tr(W rho) detects rho when t < threshold and is zero
+    when |t| <= -threshold; as |t| <= ||W||_F ||rho||_F, scaling W changes neither.
+    """
+    return -DETECTION_RTOL * w_norm * rho_norm

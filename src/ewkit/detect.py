@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,38 +31,31 @@ from .construct import (
     witness_dk,
 )
 from .core import (
-    DETECTION_TOL,
     HermitianOp,
     TensorSpace,
     _default_sigma,
     _require_psd,
+    detection_threshold,
     is_psd,
     partial_transpose,
     trace_pair,
 )
 
-#: Absolute floor below which a denominator trace counts as zero.
-TOLERANCE_ZERO = 1e-12
-
-#: A declared-separable sigma counts as detected by W (an inconsistent
-#: mixing line) only when Tr(W sigma) falls below -SEPARABLE_TRACE_SLACK.
-SEPARABLE_TRACE_SLACK = 1e-10
-
 #: How far from one the traces of sample_sppt's rho0 and sigma_sep may be.
 UNIT_TRACE_TOL = 1e-10
 
 
-def _affine_root(t0: float, t1: Callable[[], float]) -> float | None:
-    """Root -t0 / t1 of t0 + x t1: the supremum of x >= 0 keeping it negative.
+def _affine_root(t0: float, w_norm: float, x: HermitianOp, rho: HermitianOp) -> float | None:
+    """Root -t0 / t1 of t0 + s t1, t1 = Tr(X rho): the supremum of s >= 0 keeping it negative.
 
-    None when t0 is not detected (empty supremum), math.inf when the slope
-    t1 is zero within TOLERANCE_ZERO. t1 is evaluated only once t0 is known
-    to be detected.
+    t0 pairs a witness of Frobenius norm w_norm with rho. None when t0 is not
+    detected (empty supremum), math.inf when t1 is at most zero by the
+    detection rule of (X, rho). t1 is read only once t0 is known to be detected.
     """
-    if t0 >= DETECTION_TOL:
+    if t0 >= detection_threshold(w_norm, rho.norm()):
         return None
-    slope = t1()
-    if slope <= TOLERANCE_ZERO:
+    slope = trace_pair(x, rho)
+    if slope <= -detection_threshold(x.norm(), rho.norm()):
         return math.inf
     return -t0 / slope
 
@@ -75,21 +67,17 @@ def alpha_threshold(
 
     Closed form -T0 / (-T0 + Ts) with T0 = Tr(W rho0) and Ts = Tr(W sigma).
     Returns None when W does not detect rho0 (empty supremum) or when the
-    declared-separable sigma is itself detected by W, and 1.0 when sigma is
-    supported in the kernel of W (detection persists on all of [0, 1)).
+    declared-separable sigma is itself detected by W, and 1.0 when Ts is
+    zero by the detection rule (detection persists on all of [0, 1)).
     """
     t0 = trace_pair(w, rho0)
-    ts = math.nan  # Tr(W sigma), read only once rho0 is known to be detected
-
-    def slope() -> float:
-        nonlocal ts
-        ts = trace_pair(w, sigma_sep)
-        return ts - t0
-
-    root = _affine_root(t0, slope)
-    if root is None or ts < -SEPARABLE_TRACE_SLACK:
+    if t0 >= detection_threshold(w.norm(), rho0.norm()):
         return None
-    return 1.0 if ts <= TOLERANCE_ZERO else root
+    ts = trace_pair(w, sigma_sep)
+    threshold = detection_threshold(w.norm(), sigma_sep.norm())
+    if ts < threshold:
+        return None
+    return 1.0 if ts <= -threshold else -t0 / (ts - t0)
 
 
 def lambda_threshold(
@@ -101,7 +89,7 @@ def lambda_threshold(
     rho0, None when W0 does not detect rho0. P has to be PSD.
     """
     _require_psd("P", *is_psd(p))
-    return _affine_root(trace_pair(w0, rho0), lambda: trace_pair(p, rho0))
+    return _affine_root(trace_pair(w0, rho0), w0.norm(), p, rho0)
 
 
 def mu_threshold(
@@ -114,14 +102,14 @@ def mu_threshold(
     """Supremum of mu keeping Tr((W0 + lambda P + mu Q) rho0) < 0.
 
     Same degenerate-case conventions as lambda_threshold; returns None when
-    lambda already sits at or above its own threshold.
+    W0 + lambda P does not detect rho0, lambda at or above its own threshold.
     """
     if not math.isfinite(lam) or lam < 0:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     for name, op in (("P", p), ("Q", q)):
         _require_psd(name, *is_psd(op))
     t_lam = trace_pair(w0, rho0) + lam * trace_pair(p, rho0)
-    return _affine_root(t_lam, lambda: trace_pair(q, rho0))
+    return _affine_root(t_lam, float(np.linalg.norm(w0.matrix + lam * p.matrix)), q, rho0)
 
 
 def sample_sppt(
@@ -132,8 +120,8 @@ def sample_sppt(
     The caller vouches that sigma_sep is separable by choosing it; the
     library cannot decide separability and only ships known separable states
     (see separable_catalog). rho0 and sigma_sep must have unit trace. Every
-    returned state is verified to be detected (trace below DETECTION_TOL,
-    the predicate certify_detection uses) and, on every space, PPT under the
+    returned state is verified to be detected (by detection_threshold, the
+    rule certify_detection uses) and, on every space, PPT under the
     default sigma (the last factor transposed); a failure means the inputs
     were inconsistent and raises rather than returning a bad sample.
     """
@@ -153,7 +141,7 @@ def sample_sppt(
                 f"alpha={alpha!r} outside the open interval [0, {threshold!r})"
             )
         rho = convex_combination([rho0, sigma_sep], [1.0 - alpha, alpha])
-        if trace_pair(w, rho) >= DETECTION_TOL:
+        if trace_pair(w, rho) >= detection_threshold(w.norm(), rho.norm()):
             raise ArithmeticError(f"sampled state at alpha={alpha!r} is not detected")
         ok, spectrum = is_psd(partial_transpose(rho, bits))
         if not ok:
@@ -170,8 +158,8 @@ def sample_wind(
 ) -> list[HermitianOp]:
     """Witnesses W0 + lambda P for each lambda strictly below lambda_threshold.
 
-    Every returned witness is verified to detect rho0 (trace below
-    DETECTION_TOL); a failure raises rather than returning a bad sample.
+    Every returned witness is verified to detect rho0 (by
+    detection_threshold); a failure raises rather than returning a bad sample.
     """
     threshold = lambda_threshold(w0, p, rho0)
     if threshold is None:
@@ -183,7 +171,7 @@ def sample_wind(
                 f"lambda={lam!r} outside the open interval [0, {threshold!r})"
             )
         w = HermitianOp(w0.space, w0.matrix + lam * p.matrix)
-        if trace_pair(w, rho0) >= DETECTION_TOL:
+        if trace_pair(w, rho0) >= detection_threshold(w.norm(), rho0.norm()):
             raise ArithmeticError(f"sampled witness at lambda={lam!r} lost detection")
         out.append(w)
     return out
@@ -209,8 +197,8 @@ class SweepTable:
     """A detection sweep as columns over the (gamma, lambda, mu) grids.
 
     trace[g, l, m] = Tr((W0 + lambda_l P + mu_m Q) rho_gamma_g) and detected
-    marks trace < DETECTION_TOL. One row per grid point, gamma outer, lambda
-    middle, mu inner. Tables compare and hash by identity.
+    marks the traces below their detection_threshold. One row per grid point,
+    gamma outer, lambda middle, mu inner. Tables compare and hash by identity.
     """
 
     gammas: tuple[float, ...]
@@ -236,24 +224,31 @@ def sweep(
     fixed operators (construct._ha_parts), so the nine traces of W0, P and Q
     against R1, Ra and Rb give the (G, 3) base traces of every gamma in one
     broadcast, and the pairing, affine in (lambda, mu), is one broadcast of
-    t0 + lambda tp + mu tq. No state is built per gamma. The nine traces are
-    sums of small integers, hence exact, so every gamma = 1 row at lambda =
-    mu = 0 is exactly 0.0. Raises ValueError naming the first gamma that is
-    not finite and > 0, and FloatingPointError where gamma^2 or gamma^-2
-    overflows.
+    t0 + lambda tp + mu tq. The squared Frobenius norms the detection rule
+    reads are quadratic forms in the same coefficients, of the Gram matrices
+    of (W0, P, Q) and (R1, Ra, Rb); no operator is built per row or gamma.
+    The nine traces are sums of small integers, hence exact, so every gamma =
+    1 row at lambda = mu = 0 is exactly 0.0. Raises ValueError naming the
+    first gamma that is not finite and > 0, and FloatingPointError where
+    gamma^2 or gamma^-2 overflows.
     """
-    ops = np.stack([x.matrix for x in (witness_dk(d, k), projector_p(d), projector_q(d))])
-    # Tr(X R) for X in (W0, P, Q), one (1, 3) row per R in (R1, Ra, Rb)
-    t1, ta, tb = np.einsum("xij,rji->rx", ops, _ha_parts(d)).real[:, None]
+    ops = [x.matrix for x in (witness_dk(d, k), projector_p(d), projector_q(d))]
+    mats = [*ops, *_ha_parts(d)]  # W0, P, Q, R1, Ra, Rb
+    gram = np.array([[np.vdot(y, x) for x in mats] for y in mats]).real  # Tr(M_x M_y)
+    t1, ta, tb = gram[3:, None, :3]  # Tr(X R), X in (W0, P, Q): a (1, 3) row per R
     with np.errstate(over="raise"):
         a, b, n = (v[:, None] for v in _ha_weights(d, np.array(gamma_grid, dtype=float)))
         base = (t1 + (a - 1) * ta + (b - 1) * tb) / n  # (G, 3)
+        rho_coef = np.hstack([np.ones_like(a), a - 1, b - 1]) / n  # (G, 3)
     t0, tp, tq = base.T[:, :, None, None]  # each (G, 1, 1)
     lam = np.array(lambda_grid, dtype=float)[:, None]  # (L, 1)
     mu = np.array(mu_grid, dtype=float)  # (M,)
     # the per-point float operations, in the order the scalar sum takes them
     trace = (t0 + lam * tp) + mu * tq
-    detected = trace < DETECTION_TOL
+    w_coef = np.stack(np.broadcast_arrays(1.0, lam, mu), axis=-1)  # (L, M, 3)
+    w_norm = np.sqrt(np.einsum("lmx,xy,lmy->lm", w_coef, gram[:3, :3], w_coef))
+    rho_norm = np.sqrt(np.einsum("gx,xy,gy->g", rho_coef, gram[3:, 3:], rho_coef))
+    detected = trace < detection_threshold(w_norm, rho_norm[:, None, None])
     for column in (trace, detected):
         column.setflags(write=False)
     return SweepTable(tuple(gamma_grid), tuple(lambda_grid), tuple(mu_grid), trace, detected)

@@ -32,8 +32,8 @@ from ewkit import (
     projector_q,
     witness_dk,
 )
-from ewkit.certify import NEGATIVITY_CUTOFF, SCAN_CONV_TOL, _haar_product_start
-from ewkit.core import DETECTION_TOL
+from ewkit.certify import SCAN_CONV_TOL, _haar_product_start
+from ewkit.core import DETECTION_RTOL
 from ewkit.detect import SweepTable
 
 
@@ -319,7 +319,8 @@ def ha_state_blocks(d: int, gamma: float) -> HermitianOp:
 class SweepRow:
     """One grid point of a detection sweep.
 
-    scale, when known, is the sum of the magnitudes the row's trace adds up.
+    scale, when known, is the sum of the magnitudes the row's trace adds up,
+    and threshold the detection threshold of the row's pair.
     """
 
     gamma: float | None
@@ -329,6 +330,7 @@ class SweepRow:
     trace_value: float
     detected: bool
     scale: float | None = None
+    threshold: float | None = None
 
 
 def exact_pairing(w: np.ndarray, rho: np.ndarray) -> float:
@@ -343,7 +345,9 @@ def sweep_rows(
 
     Each gamma's state is assembled block by block and its three traces are
     summed exactly, so a row is off the true pairing by a few rounding errors
-    of its scale Tr(|W0| rho) + |lambda| Tr(P rho) + |mu| Tr(Q rho).
+    of its scale Tr(|W0| rho) + |lambda| Tr(P rho) + |mu| Tr(Q rho). A row is
+    detected below -DETECTION_RTOL ||W||_F ||rho||_F, the norms taken of the
+    row's witness and state matrices.
     """
     w0 = witness_dk(d, k).matrix
     p = projector_p(d).matrix
@@ -353,9 +357,11 @@ def sweep_rows(
         rho = ha_state_blocks(d, gamma).matrix
         t0, tp, tq = (exact_pairing(x, rho) for x in (w0, p, q))
         s0 = exact_pairing(np.abs(w0), np.abs(rho))  # P, Q and rho are entrywise >= 0
+        rho_norm = np.linalg.norm(rho)
         for lam in lambda_grid:
             for mu in mu_grid:
                 value = t0 + lam * tp + mu * tq
+                threshold = -DETECTION_RTOL * np.linalg.norm(w0 + lam * p + mu * q) * rho_norm
                 rows.append(
                     SweepRow(
                         gamma=gamma,
@@ -363,8 +369,9 @@ def sweep_rows(
                         mu=mu,
                         alpha=None,
                         trace_value=value,
-                        detected=value < DETECTION_TOL,
+                        detected=value < threshold,
                         scale=s0 + abs(lam) * tp + abs(mu) * tq,
+                        threshold=threshold,
                     )
                 )
     return rows
@@ -409,10 +416,13 @@ def sweep_rows_csv(rows: list[SweepRow]) -> str:
 def blockpos_scan_serial(w: HermitianOp, config: ScanConfig) -> dict:
     """The block-positivity seesaw one restart at a time, one einsum per contraction.
 
+    A restart stops once a step moves its value by at most SCAN_CONV_TOL
+    ||W||_F; the scan passes unless its minimum is below -DETECTION_RTOL ||W||_F.
     Returns the scan's histories, minimum, best restart and verdict.
     """
     d1, d2 = w.space.dims
     w4 = w.matrix.reshape(d1, d2, d1, d2)
+    w_norm = np.linalg.norm(w.matrix)
 
     def value(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.einsum("i,j,ijkl,k,l->", x.conj(), y.conj(), w4, x, y).real)
@@ -430,7 +440,7 @@ def blockpos_scan_serial(w: HermitianOp, config: ScanConfig) -> dict:
             history.append(val_x)
             val_y, y = min_eigvec(np.einsum("i,ijkl,k->jl", x.conj(), w4, x))
             history.append(val_y)
-            if abs(history[-3] - history[-1]) <= SCAN_CONV_TOL * max(1.0, abs(history[-1])):
+            if abs(history[-3] - history[-1]) <= SCAN_CONV_TOL * w_norm:
                 break
         histories.append(history)
     finals = [h[-1] for h in histories]
@@ -439,5 +449,5 @@ def blockpos_scan_serial(w: HermitianOp, config: ScanConfig) -> dict:
         "histories": histories,
         "minimum": finals[best],
         "best_restart": best,
-        "verdict": finals[best] >= NEGATIVITY_CUTOFF,
+        "verdict": finals[best] >= -DETECTION_RTOL * w_norm,
     }

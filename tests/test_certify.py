@@ -259,7 +259,7 @@ class TestBlockposScan:
             evidence = cert.evidence
             recount = sum(
                 (len(h) - 1) // 2 == max_iters
-                and abs(h[-3] - h[-1]) > SCAN_CONV_TOL * max(1.0, abs(h[-1]))
+                and abs(h[-3] - h[-1]) > SCAN_CONV_TOL * np.linalg.norm(op.matrix)
                 for h in evidence["histories"]
             )
             assert evidence["unconverged_restarts"] == recount
@@ -292,9 +292,9 @@ def _scan_equivalence_cases():
     return cases
 
 
-def _at_round_off_tie(history):
+def _at_round_off_tie(history, w):
     """Whether the convergence test at the end of history is decided by round-off."""
-    scale = max(1.0, abs(history[-1]))
+    scale = np.linalg.norm(w.matrix)
     gap = abs(history[-3] - history[-1]) - SCAN_CONV_TOL * scale
     return abs(gap) <= 1e-13 * scale
 
@@ -316,7 +316,7 @@ class TestBlockposScanMatchesSerialOracle:
             # apart; every other restart takes the same number of steps
             if len(ours) != len(theirs):
                 shorter = theirs[: min(len(ours), len(theirs))]
-                assert _at_round_off_tie(shorter)
+                assert _at_round_off_tie(shorter, op)
             assert ours[-1] == pytest.approx(theirs[-1], abs=1e-10)
         assert cert.verdict == oracle["verdict"]
         assert cert.evidence["minimum"] == pytest.approx(oracle["minimum"], abs=1e-10)

@@ -297,6 +297,21 @@ class TestSweep:
         assert "gamma must be finite and > 0, got -0.5" in err
         assert not out_path.exists()
 
+    def test_negative_grids_as_separate_arguments(self, tmp_path, capsys):
+        out_path = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sweep", "--d", "5", "--k", "1", "--gamma-grid", "1",
+                         "--lambda-grid", "-0.05:0.05:0.01", "--mu-grid", "-.5",
+                         "--out", str(out_path))
+        assert code == 0
+        rows = [line.split(",") for line in out_path.read_text().strip().split("\n")[1:]]
+        assert [float(r[1]) for r in rows] == parse_grid("-0.05:0.05:0.01")
+        assert {r[2] for r in rows} == {"-0.5"}
+        # and a separate non-positive gamma grid reaches the gamma check
+        code, _, err = run(capsys, "sweep", "--d", "5", "--k", "1", "--gamma-grid",
+                           "-0.5:1:0.5", "--out", str(tmp_path / "bad.csv"))
+        assert code == 2
+        assert "gamma must be finite and > 0, got -0.5" in err
+
     def test_gamma_one_row_is_exactly_zero(self, tmp_path, capsys):
         out_path = tmp_path / "s.csv"
         code, _, _ = run(capsys, "sweep", "--d", "5", "--k", "1",

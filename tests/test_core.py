@@ -292,7 +292,7 @@ class TestIsPsd:
             diag = rng.standard_normal(9)
             op = HermitianOp(bipartite(3), np.diag(diag).astype(complex))
             ok, _ = is_psd(op)
-            floor = -1e-10 * max(1.0, np.abs(diag).max())
+            floor = -1e-10 * np.abs(diag).max()
             assert ok == bool(diag.min() >= floor)
 
     def test_spectrum_sorted(self):

@@ -34,7 +34,6 @@ from ewkit import (
     write_sweep_csv,
 )
 from ewkit.cli import main
-from ewkit.core import DETECTION_TOL
 
 from oracles import (
     random_hermitian,
@@ -425,7 +424,7 @@ def assert_sweep_matches_oracle(d, k, gammas, lams, mus):
     """Each trace within SWEEP_ULPS * eps * scale of the oracle's.
 
     Verdicts are equal wherever the oracle's trace is farther than that
-    from DETECTION_TOL.
+    from the oracle's detection threshold.
     """
     table = sweep(d, k, gammas, lams, mus)
     rows = sweep_rows(d, k, gammas, lams, mus)
@@ -433,7 +432,7 @@ def assert_sweep_matches_oracle(d, k, gammas, lams, mus):
     for row, value, hit in zip(rows, table.trace.ravel(), table.detected.ravel()):
         bound = SWEEP_ULPS * np.finfo(float).eps * row.scale
         assert abs(value - row.trace_value) <= bound, (row, value)
-        if abs(row.trace_value - DETECTION_TOL) > bound:
+        if abs(row.trace_value - row.threshold) > bound:
             assert hit == row.detected, (row, value)
 
 
