@@ -93,7 +93,7 @@ class HermitianOp:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex)  # only read: the stored matrix is new
         n = self.space.total
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {n}")
@@ -213,11 +213,14 @@ def partial_transpose(op: HermitianOp, sigma: Sequence[bool]) -> HermitianOp:
 def is_psd(op: HermitianOp) -> tuple[bool, Spectrum]:
     """Positive-semidefiniteness verdict with the full spectrum as evidence.
 
-    True iff the smallest eigenvalue is >= -Spectrum.psd_tolerance.
-    Eigensolver failures propagate as numpy.linalg.LinAlgError rather than
-    being folded into a False verdict.
+    True iff the smallest eigenvalue is >= -Spectrum.psd_tolerance. A real
+    operator (every witness and state the paper builds) is solved in real
+    arithmetic, a complex one by the complex solver. Eigensolver failures
+    propagate as numpy.linalg.LinAlgError rather than being folded into a
+    False verdict.
     """
-    spectrum = Spectrum(np.linalg.eigvalsh(op.matrix))
+    m = op.matrix
+    spectrum = Spectrum(np.linalg.eigvalsh(m if m.imag.any() else m.real))
     return spectrum.min >= -spectrum.psd_tolerance, spectrum
 
 

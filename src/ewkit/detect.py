@@ -125,12 +125,19 @@ def sample_sppt(
     default sigma (the last factor transposed); a failure means the inputs
     were inconsistent and raises rather than returning a bad sample.
     """
+    return _sample_sppt(w, rho0, sigma_sep, alphas, alpha_threshold(w, rho0, sigma_sep))
+
+
+def _sample_sppt(
+    w: HermitianOp, rho0: HermitianOp, sigma_sep: HermitianOp, alphas: list[float],
+    threshold: float | None,
+) -> list[HermitianOp]:
+    """sample_sppt given its threshold, alpha_threshold(w, rho0, sigma_sep), solved once."""
     w._require_same_space(rho0)
     w._require_same_space(sigma_sep)
     for name, op in (("rho0", rho0), ("sigma_sep", sigma_sep)):
         if abs(op.trace() - 1.0) > UNIT_TRACE_TOL:
             raise ValueError(f"{name} must have unit trace, got {op.trace()!r}")
-    threshold = alpha_threshold(w, rho0, sigma_sep)
     if threshold is None:
         raise ValueError("the pair has no detection threshold; nothing to sample")
     out = []
@@ -188,7 +195,7 @@ def chain_pair(
     threshold = alpha_threshold(w_new, rho0, sigma_sep)
     if threshold is None:
         return None
-    (rho,) = sample_sppt(w_new, rho0, sigma_sep, [threshold / 2.0])
+    (rho,) = _sample_sppt(w_new, rho0, sigma_sep, [threshold / 2.0], threshold)
     return w_new, rho
 
 

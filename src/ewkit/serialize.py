@@ -7,7 +7,16 @@ written as JSON integers. Only the nonzero entries of a real or imaginary
 part (a map table's images as one stack) are converted and encoded; the
 zeros are written as "0" with no per-entry conversion. An operator or map
 table is encoded before its file is opened, so a failed write leaves the
-file as it was. On reading, every re/im entry must be a finite JSON number.
+file as it was.
+
+On reading, every re/im entry must be a finite JSON number. A file's text is
+read once and parsed by json.loads; a file that is not UTF-8, not JSON or
+nested too deeply to parse is malformed. The re and im parts are converted
+by a dtype-less np.array, which leaves only one kind of bad entry unseen: a
+true or false among numbers. So a document whose text holds neither literal
+is accepted when both parts come out as finite int or float arrays of the
+right shape; every other document goes through the per-entry type scan,
+which gives each rejection its message.
 """
 
 from __future__ import annotations
@@ -28,12 +37,19 @@ class MalformedFileError(ValueError):
     """The file is not a valid operator / map-table document."""
 
 
-def _read_json(path: str) -> Any:
+def _read_json(path: str) -> tuple[Any, bool]:
+    """The document in the file, and whether its text holds a true or false literal."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedFileError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedFileError(f"{path}: JSON nested too deeply to parse") from exc
+    return doc, "true" in text or "false" in text
 
 
 def _write_text(path: str, text: str) -> None:
@@ -95,10 +111,38 @@ def _numeric_array(re: Any, im: Any, shape: tuple[int, ...]) -> np.ndarray:
     bad = {json.dumps(v) for arr in (re_arr, im_arr) for v in arr[~np.isfinite(arr)].tolist()}
     if bad:
         raise MalformedFileError(f"re/im are not finite numbers: {', '.join(sorted(bad))} entries")
-    return re_arr + 1j * im_arr
+    return _complex(re_arr, im_arr)
 
 
-def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
+def _complex(re_arr: np.ndarray, im_arr: np.ndarray) -> np.ndarray:
+    """re_arr + 1j*im_arr built in place, keeping every bit of both parts (-0.0 too)."""
+    m = np.empty(re_arr.shape, dtype=complex)
+    m.real, m.imag = re_arr, im_arr
+    return m
+
+
+def _parts_array(re: Any, im: Any, shape: tuple[int, ...], booleans: bool) -> np.ndarray:
+    """_numeric_array(re, im, shape), skipping its type scan when booleans is False.
+
+    booleans=False promises that no entry is a JSON true or false; the only
+    bad entries a dtype-less np.array then turns into int or float arrays
+    are the non-finite ones (strings give kind U, null and integers beyond
+    64 bits object, ragged rows raise), so finite int or float parts of the
+    right shape are the parts _numeric_array accepts, with the same values.
+    """
+    if not booleans:
+        try:
+            parts = np.array(re), np.array(im)
+        except ValueError:
+            parts = ()
+        if parts and all(arr.dtype.kind in "iuf" and arr.shape == shape
+                         and np.isfinite(arr).all() for arr in parts):
+            return _complex(*parts)
+    return _numeric_array(re, im, shape)
+
+
+def operator_from_json_dict(doc: Any, booleans: bool = True) -> tuple[HermitianOp, dict]:
+    """The operator and meta of a document; see _parts_array for booleans."""
     if not isinstance(doc, dict):
         raise MalformedFileError("operator document must be a JSON object")
     dims = doc.get("dims")
@@ -111,7 +155,7 @@ def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
     if "re" not in doc or "im" not in doc:
         raise MalformedFileError("operator document must carry re and im matrices")
     n = space.total
-    matrix = _numeric_array(doc["re"], doc["im"], (n, n))
+    matrix = _parts_array(doc["re"], doc["im"], (n, n), booleans)
     try:
         op = HermitianOp(space, matrix)
     except ValueError as exc:
@@ -137,10 +181,11 @@ def write_operator(path: str, op: HermitianOp, meta: dict | None = None) -> None
 
 
 def read_operator(path: str) -> tuple[HermitianOp, dict]:
-    return operator_from_json_dict(_read_json(path))
+    return operator_from_json_dict(*_read_json(path))
 
 
-def map_table_from_json_dict(doc: Any) -> LinearMapTable:
+def map_table_from_json_dict(doc: Any, booleans: bool = True) -> LinearMapTable:
+    """The map table of a document; see _parts_array for booleans."""
     if not isinstance(doc, dict):
         raise MalformedFileError("map-table document must be a JSON object")
     try:
@@ -159,8 +204,8 @@ def map_table_from_json_dict(doc: Any) -> LinearMapTable:
         raise MalformedFileError("each image needs re and im matrices")
     shape = (d_in * d_in, d_out, d_out)
     if raw_images:
-        images = _numeric_array([entry["re"] for entry in raw_images],
-                                [entry["im"] for entry in raw_images], shape)
+        images = _parts_array([entry["re"] for entry in raw_images],
+                              [entry["im"] for entry in raw_images], shape, booleans)
     else:  # d_in = 0: no entries to check; LinearMapTable rejects the dims
         images = np.zeros(shape, dtype=complex)
     # a Hermiticity-preservation violation is an invalid map, not a malformed
@@ -176,7 +221,7 @@ def write_map_table(path: str, table: LinearMapTable) -> None:
 
 
 def read_map_table(path: str) -> LinearMapTable:
-    return map_table_from_json_dict(_read_json(path))
+    return map_table_from_json_dict(*_read_json(path))
 
 
 def certificate_to_json_dict(cert: Certificate) -> dict:

@@ -8,8 +8,9 @@ unit at a time, thresholds come from brute-force sign scans of traces evaluated
 on explicitly mixed matrices, product minima come from a dense grid over
 real product vectors, the sweep kernel against a per-gamma loop of exactly
 summed traces, the witness, Ha-state and block-positivity scan kernels
-against their per-block and per-restart loops, and the operator,
-map-table and sweep writers against per-entry and per-row codecs.
+against their per-block and per-restart loops, the operator, map-table
+and sweep writers against per-entry and per-row codecs, and the readers'
+re/im conversion against a type check of every entry.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from ewkit import (
 from ewkit.certify import SCAN_CONV_TOL, _haar_product_start
 from ewkit.core import DETECTION_RTOL
 from ewkit.detect import SweepTable
+from ewkit.serialize import MalformedFileError
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -180,6 +182,39 @@ def write_map_table_per_entry(path: str, table: LinearMapTable) -> None:
         re, im = _matrix_to_lists(img)
         images.append({"re": re, "im": im})
     _write_json_streamed(path, {"d_in": table.d_in, "d_out": table.d_out, "images": images})
+
+
+_JSON_NUMBERS = {int, float}  # bool is an int subclass, but type(True) is bool
+
+
+def numeric_parts_per_entry(
+    re: object, im: object, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The re and im parts as np.array(dtype=float) arrays, after a per-entry type check.
+
+    Every entry must be a JSON number (int or float, not bool) and finite;
+    otherwise MalformedFileError with the reader's message for that case.
+    """
+    try:
+        re_arr = np.array(re, dtype=float)
+        im_arr = np.array(im, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedFileError(f"re/im are not numeric matrices: {exc}") from exc
+    if re_arr.shape != shape or im_arr.shape != shape:
+        raise MalformedFileError(
+            f"re/im shapes {re_arr.shape}/{im_arr.shape} do not match {shape}"
+        )
+    for part in (re, im):
+        for _ in shape[1:]:
+            part = itertools.chain.from_iterable(part)
+        bad = set(map(type, part)) - _JSON_NUMBERS
+        if bad:
+            names = ", ".join(sorted(t.__name__ for t in bad))
+            raise MalformedFileError(f"re/im are not numeric matrices: {names} entries")
+    bad = {json.dumps(v) for arr in (re_arr, im_arr) for v in arr[~np.isfinite(arr)].tolist()}
+    if bad:
+        raise MalformedFileError(f"re/im are not finite numbers: {', '.join(sorted(bad))} entries")
+    return re_arr, im_arr
 
 
 def pair_trace(w: np.ndarray, rho: np.ndarray) -> float:

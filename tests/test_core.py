@@ -18,6 +18,8 @@ from ewkit import (
     trace_pair,
     witness_dk,
 )
+from ewkit.certify import REVALIDATE_TOL
+from ewkit.core import PSD_RTOL
 from ewkit.detect import sweep
 
 from oracles import kron_chain, matrix_unit, pinch, random_hermitian, shift_operator
@@ -96,6 +98,12 @@ class TestHermitianOp:
         m[2, 2] = value
         with pytest.raises(ValueError, match="finite"):
             HermitianOp(bipartite(2), m)
+
+    def test_stored_matrix_does_not_share_the_input(self):
+        m = np.eye(4, dtype=complex)
+        op = HermitianOp(bipartite(2), m)
+        m[0, 0] = 5.0
+        assert op.matrix[0, 0] == 1.0
 
     def test_matrix_is_read_only(self):
         op = HermitianOp(bipartite(2), np.eye(4, dtype=complex))
@@ -300,6 +308,39 @@ class TestIsPsd:
         _, spectrum = is_psd(op)
         assert np.all(np.diff(spectrum.eigenvalues) >= 0)
         assert isinstance(spectrum, Spectrum)
+
+
+#: Every W_{d,k} with d <= 8, and Ha states on both sides of gamma = 1.
+REAL_OPERATORS = [("witness", d, k) for d in range(3, 9) for k in range(1, d)] + [
+    ("ha", d, gamma) for d in range(3, 9) for gamma in (0.3, 0.7, 1.0, 2.5)
+]
+
+
+class TestRealSpectrum:
+    """is_psd solves real operators in real arithmetic, complex ones as before."""
+
+    @pytest.mark.parametrize("flags", [None, (False, True), (True, False)])
+    @pytest.mark.parametrize("kind, d, x", REAL_OPERATORS)
+    def test_verdict_and_spectrum_match_the_complex_solver(self, kind, d, x, flags):
+        op = witness_dk(d, x) if kind == "witness" else ha_state(d, x)
+        if flags:
+            op = partial_transpose(op, flags)
+        assert not op.matrix.imag.any()
+        ok, spectrum = is_psd(op)
+        eigs = np.linalg.eigvalsh(op.matrix)
+        assert ok == bool(eigs[0] >= -PSD_RTOL * np.abs(eigs).max())
+        assert np.abs(spectrum.eigenvalues - eigs).max() <= REVALIDATE_TOL["eigenvalues"]
+
+    def test_solver_follows_the_imaginary_part(self, monkeypatch):
+        solve = np.linalg.eigvalsh
+        dtypes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: dtypes.append(a.dtype) or solve(a))
+        op = _random_op(bipartite(3), 5)
+        assert op.matrix.imag.any()
+        _, spectrum = is_psd(op)
+        assert spectrum.eigenvalues.tobytes() == solve(op.matrix).tobytes()
+        is_psd(witness_dk(3, 1))
+        assert dtypes == [np.dtype(complex), np.dtype(float)]
 
 
 class TestTracePair:

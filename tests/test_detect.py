@@ -31,6 +31,7 @@ from ewkit import (
     trace_pair,
     witness_dk,
 )
+from ewkit import detect
 
 from oracles import alpha_sign_scan, lambda_sign_scan
 
@@ -393,6 +394,15 @@ class TestChainPair:
         _, rho_next = result
         assert trace_pair(w_new, rho_next) < 0
         assert abs(trace_pair(w_new, rho_next)) < abs(trace_pair(w_new, rho0))
+
+    def test_threshold_is_solved_once(self, monkeypatch):
+        calls = []
+        solve = detect.alpha_threshold
+        monkeypatch.setattr(detect, "alpha_threshold",
+                            lambda *args: calls.append(args) or solve(*args))
+        w0 = witness_dk(3, 1)
+        assert chain_pair(w0, ha_state(3, GAMMA_STAR), maximally_mixed(w0.space)) is not None
+        assert len(calls) == 1
 
     def test_non_detecting_witness_gives_none(self):
         w0 = witness_dk(3, 1)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ewkit import (
@@ -33,9 +33,11 @@ from ewkit import (
     write_operator,
     write_sweep_csv,
 )
+from ewkit import serialize
 from ewkit.cli import main
 
 from oracles import (
+    numeric_parts_per_entry,
     random_hermitian,
     sweep_rows,
     sweep_rows_csv,
@@ -76,6 +78,9 @@ BAD_OPERATOR_DOCS = {
                            "numeric"),
     "re_booleans": ({"dims": [2], "re": [[True, False], [False, True]], "im": ZERO_2},
                     "numeric"),
+    # a dtype-less np.array takes this re for an int64 matrix
+    "re_boolean_among_ints": ({"dims": [2], "re": [[1, 0], [0, True]], "im": ZERO_2},
+                              "not numeric matrices: bool entries"),
     "re_null_entry": ({"dims": [2], "re": [[1, None], [None, 1]], "im": ZERO_2}, "numeric"),
     "im_booleans": ({"dims": [2, 2], "re": EYE_4, "im": [[False] * 4] * 4}, "numeric"),
     "im_numeric_string": ({"dims": [2], "re": [[1, 0], [0, 1]], "im": [[0, "0"], [0, 0]]},
@@ -112,6 +117,9 @@ BAD_MAP_DOCS = {
     "image_booleans": ({"d_in": 2, "d_out": 2, "images": [
         {"re": unit, "im": [[False, False], [False, False]]} for unit in UNITS_2]},
         "numeric"),
+    "image_boolean_among_ints": ({"d_in": 2, "d_out": 2, "images": [
+        {"re": unit, "im": ZERO_2} for unit in UNITS_2[:3]] + [
+        {"re": [[0, 0], [0, True]], "im": ZERO_2}]}, "not numeric matrices: bool entries"),
     "image_null_entry": ({"d_in": 2, "d_out": 2, "images": [
         {"re": unit, "im": ZERO_2} for unit in UNITS_2[:3]] + [
         {"re": [[0, 0], [0, None]], "im": ZERO_2}]}, "numeric"),
@@ -121,6 +129,12 @@ BAD_MAP_DOCS = {
     "image_infinity_literal": ({"d_in": 2, "d_out": 2, "images": [
         {"re": unit, "im": [[0, 0], [0, -math.inf]]} for unit in UNITS_2]},
         "not finite numbers: -Infinity entries"),
+}
+
+# Files json cannot parse into a document, each with what its error names.
+UNREADABLE_FILES = {
+    "not_utf8": (b'{"dims": [2], "re": [[1, 0], [0, 1]], "im": "\xff"}', "not UTF-8 text"),
+    "nested_too_deeply": (b"[" * 200_000, "nested too deeply"),
 }
 
 
@@ -250,6 +264,17 @@ class TestOperatorRoundTrip:
         write_operator(str(good), HermitianOp(bipartite(2), np.eye(4, dtype=complex)))
         assert main(["pair", str(good), path]) == 3
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("name", UNREADABLE_FILES)
+    def test_unreadable_file_rejected_and_pair_exits_3(self, tmp_path, capsys, name):
+        content, message = UNREADABLE_FILES[name]
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(MalformedFileError, match=message):
+            read_operator(str(path))
+        assert main(["pair", str(path), str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 def _planted_hermitian(n: int, seed: int) -> np.ndarray:
@@ -382,6 +407,19 @@ class TestMapTableRoundTrip:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("name", UNREADABLE_FILES)
+    def test_unreadable_file_rejected_and_to_witness_exits_3(self, tmp_path, capsys, name):
+        content, message = UNREADABLE_FILES[name]
+        path = tmp_path / "map.json"
+        path.write_bytes(content)
+        with pytest.raises(MalformedFileError, match=message):
+            read_map_table(str(path))
+        out = tmp_path / "w.json"
+        assert main(["cj", "to-witness", "-m", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
     @pytest.mark.parametrize("nudge, accepted", [(1e-14, True), (1e-6, False)])
     def test_map_gate_is_the_operator_gate_at_every_scale(self, tmp_path, scale, nudge,
@@ -401,6 +439,92 @@ class TestMapTableRoundTrip:
             for j in range(3):
                 block = choi[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
                 assert table.image(i, j).tobytes() == block.tobytes()
+
+
+#: re/im entries np.array converts to int or float arrays.
+NUMBERS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, -0.0, 2**53 + 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64,
+                     2**70]),
+)
+#: Entries the readers reject; "@1e999" is written as the literal 1e999, read as inf.
+ODD_ENTRIES = st.sampled_from([True, False, None, "1", "x", [1], math.nan, math.inf,
+                               -math.inf, "@1e999"])
+
+
+def _draw_part(data, count: int | None, n: int, odd: bool) -> list:
+    """An n x n matrix of nested lists (count of them when count is not None)."""
+    entries = st.one_of(NUMBERS, ODD_ENTRIES) if odd else NUMBERS
+    matrices = []
+    for _ in range(1 if count is None else count):
+        rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        if odd and data.draw(st.booleans()):  # a ragged row, or a number for a row
+            i = data.draw(st.integers(0, n - 1))
+            rows[i] = data.draw(st.sampled_from([rows[i][:-1], rows[i] + [0], 0]))
+        matrices.append(rows)
+    return matrices[0] if count is None else matrices
+
+
+class TestReaderSkipsTheTypeScan:
+    """The readers convert re/im without the per-entry type scan when the text allows it."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_same_bits_or_same_error_as_the_per_entry_reader(self, tmp_path, data):
+        count = data.draw(st.sampled_from([None, 1, 3]))
+        n = data.draw(st.integers(2, 3))
+        odd = data.draw(st.booleans())
+        re, im = (_draw_part(data, count, n, odd) for _ in range(2))
+        meta = data.draw(st.sampled_from([{}, {"note": True}, {"note": "false"}]))
+        text = json.dumps({"dims": [n], "re": re, "im": im, "meta": meta})
+        path = tmp_path / "parts.json"
+        path.write_text(text.replace('"@1e999"', "1e999"))
+        doc, booleans = serialize._read_json(str(path))
+        shape = (n, n) if count is None else (count, n, n)
+        try:
+            expected = numeric_parts_per_entry(doc["re"], doc["im"], shape)
+        except MalformedFileError as exc:
+            with pytest.raises(MalformedFileError) as info:
+                serialize._parts_array(doc["re"], doc["im"], shape, booleans)
+            assert str(info.value) == str(exc)
+        else:
+            got = serialize._parts_array(doc["re"], doc["im"], shape, booleans)
+            assert got.dtype == complex
+            assert got.real.tobytes() == expected[0].tobytes()
+            assert got.imag.tobytes() == expected[1].tobytes()
+
+    def test_type_scan_runs_only_for_a_text_with_true_or_false(self, tmp_path, monkeypatch):
+        scanned = []
+        scan = serialize._numeric_array
+        monkeypatch.setattr(serialize, "_numeric_array",
+                            lambda *args: scanned.append(args) or scan(*args))
+        path, w = str(tmp_path / "w.json"), witness_dk(3, 1)
+        write_operator(path, w)
+        assert np.array_equal(read_operator(path)[0].matrix, w.matrix)
+        assert not scanned
+        write_operator(path, w, {"note": True})
+        op, meta = read_operator(path)
+        assert np.array_equal(op.matrix, w.matrix) and meta == {"note": True}
+        assert len(scanned) == 1
+
+    def test_true_in_meta_with_valid_parts_is_read_by_pair(self, tmp_path, capsys):
+        w_path, rho_path = str(tmp_path / "w.json"), str(tmp_path / "rho.json")
+        write_operator(w_path, witness_dk(3, 1), {"checked": True, "draft": False})
+        write_operator(rho_path, ha_state(3, 0.5))
+        assert main(["pair", w_path, rho_path]) == 0
+        assert "detected: true" in capsys.readouterr().out
+
+    def test_true_in_re_next_to_ints_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        write_operator(str(path), witness_dk(3, 1))
+        path.write_text(path.read_text().replace('"re": [[1,', '"re": [[true,', 1))
+        with pytest.raises(MalformedFileError, match="bool entries"):
+            read_operator(str(path))
+        assert main(["pair", str(path), str(path)]) == 3
+        assert capsys.readouterr().out == ""
 
 
 SWEEP_GRIDS = [
