@@ -7,6 +7,8 @@ including the optimal gamma* that maximizes the lambda bound.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 
@@ -23,9 +25,9 @@ def main():
     print("\ngamma  Tr(W0 rho_gamma)  (gamma^2-1)/N   PPT?")
     for gamma in (0.3, 0.5, 0.7, 0.9, 1.0):
         rho = ek.ha_state(3, gamma)
-        params = ek.StateFamilyParams(3, gamma)
+        n_gamma = 3**2 - 2 + gamma**2 + gamma**-2  # the trace of the unnormalized state
         value = ek.trace_pair(w0, rho)
-        formula = (gamma**2 - 1) / params.n_gamma
+        formula = (gamma**2 - 1) / n_gamma
         ppt = ek.certify_ppt(rho, (False, True)).verdict
         print(f"{gamma:5.2f}  {value: .10f}   {formula: .10f}   {ppt}")
     print("negative pairing + PPT = bound entanglement detected")
@@ -63,7 +65,11 @@ def main():
     table = ek.sweep(3, 1, [0.1 * i for i in range(1, 10)], [0.0, 0.1], [0.0])
     print(f"{len(table)} grid points, {table.detected.sum()} detected")
     print("first rows of the CSV form:")
-    print("\n".join(ek.sweep_to_csv(table).split("\n")[:5]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.csv")
+        ek.write_sweep_csv(path, table)
+        with open(path, encoding="utf-8") as fh:
+            print("".join(fh.readlines()[:5]), end="")
 
 
 if __name__ == "__main__":

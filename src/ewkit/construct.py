@@ -10,7 +10,7 @@ unit trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +39,12 @@ def _validate_dk(d: int, k: int) -> None:
 
 
 def _ha_weights(d: int, gamma):
-    """The weights (a_gamma, b_gamma, n_gamma) of StateFamilyParams, elementwise.
+    """The Ha weights (a_gamma, b_gamma, n_gamma), elementwise.
 
-    gamma is a number or an array of them. Raises ValueError unless d >= 3
-    and every gamma is finite and > 0, naming the first gamma that is not.
+    a_gamma = (gamma^2 + d - 1)/d, b_gamma = (gamma^-2 + d - 1)/d and the
+    normalization n_gamma = d^2 - 2 + gamma^2 + gamma^-2. gamma is a number
+    or an array of them. Raises ValueError unless d >= 3 and every gamma is
+    finite and > 0, naming the first gamma that is not.
     """
     _validate_d(d)
     ok = np.isfinite(gamma) & (np.asarray(gamma) > 0)
@@ -53,57 +55,29 @@ def _ha_weights(d: int, gamma):
     return (g2 + d - 1) / d, (gm2 + d - 1) / d, d**2 - 2 + g2 + gm2
 
 
-@dataclass(frozen=True)
-class StateFamilyParams:
-    """Parameters (d, gamma) of the Ha state family with derived weights.
-
-    a_gamma = (gamma^2 + d - 1)/d, b_gamma = (gamma^-2 + d - 1)/d and the
-    normalization n_gamma = d^2 - 2 + gamma^2 + gamma^-2.
-    """
-
-    d: int
-    gamma: float
-
-    def __post_init__(self) -> None:
-        _ha_weights(self.d, self.gamma)
-
-    @property
-    def a_gamma(self) -> float:
-        return _ha_weights(self.d, self.gamma)[0]
-
-    @property
-    def b_gamma(self) -> float:
-        return _ha_weights(self.d, self.gamma)[1]
-
-    @property
-    def n_gamma(self) -> float:
-        return _ha_weights(self.d, self.gamma)[2]
-
-
 @dataclass(frozen=True, eq=False)
 class LinearMapTable:
     """A linear map M_{d_in} -> M_{d_out}, held as its Choi operator on (d_in, d_out).
 
     choi = sum_ij e_ij x phi(e_ij) is Hermitian exactly when the map preserves
-    Hermiticity, so the HermitianOp gate is the map's gate. images[i*d_in + j]
-    is phi(e_ij), block (i, j) of choi, in one read-only (d_in^2, d_out, d_out)
-    array. Tables compare and hash by identity.
+    Hermiticity, so the HermitianOp gate is the map's gate. The table holds
+    nothing else: phi(e_ij) is block (i, j) of choi, read as a view. Tables
+    compare and hash by identity.
     """
 
     choi: HermitianOp
-    d_in: int = field(init=False)
-    d_out: int = field(init=False)
-    images: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.choi.space.nparts != 2:
             raise ValueError(f"expected a bipartite space, got {self.choi.space.dims}")
-        d_in, d_out = self.choi.space.dims
-        blocks = self.choi.matrix.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
-        images = blocks.reshape(-1, d_out, d_out)  # a copy: blocks is not contiguous
-        images.setflags(write=False)
-        for name, value in (("d_in", d_in), ("d_out", d_out), ("images", images)):
-            object.__setattr__(self, name, value)
+
+    @property
+    def d_in(self) -> int:
+        return self.choi.space.dims[0]
+
+    @property
+    def d_out(self) -> int:
+        return self.choi.space.dims[1]
 
     @classmethod
     def from_images(cls, d_in: int, d_out: int, images) -> "LinearMapTable":
@@ -131,17 +105,19 @@ class LinearMapTable:
         return cls(choi)
 
     def image(self, i: int, j: int) -> np.ndarray:
-        """phi(e_ij) for 0 <= i, j < d_in."""
+        """phi(e_ij) for 0 <= i, j < d_in: a read-only view of block (i, j) of choi."""
         if not (0 <= i < self.d_in and 0 <= j < self.d_in):
             raise ValueError(f"matrix unit ({i},{j}) out of range for d_in={self.d_in}")
-        return self.images[i * self.d_in + j]
+        n = self.d_out
+        return self.choi.matrix[i * n : (i + 1) * n, j * n : (j + 1) * n]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the map on an arbitrary d_in x d_in matrix by linearity."""
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.d_in, self.d_in):
             raise ValueError(f"argument shape {x.shape} != ({self.d_in}, {self.d_in})")
-        return np.tensordot(x.reshape(-1), self.images, axes=1)
+        blocks = self.choi.matrix.reshape(self.choi.space.dims * 2)  # [i, :, j, :] = phi(e_ij)
+        return np.tensordot(x, blocks, axes=([0, 1], [0, 2]))
 
 
 def _comb_and_cyclic_diagonal(d: int, comb: float, base: np.ndarray) -> np.ndarray:

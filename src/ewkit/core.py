@@ -21,8 +21,8 @@ HERMITICITY_RTOL = 1e-12
 #: Relative floor for positive-semidefiniteness verdicts (Spectrum.psd_tolerance).
 PSD_RTOL = 1e-10
 
-#: Largest tolerated imaginary part of Tr(W rho) for Hermitian W, rho.
-TRACE_IMAG_TOL = 1e-10
+#: Largest tolerated imaginary part of Tr(W rho) for Hermitian W, rho, over ||W||_F ||rho||_F.
+TRACE_IMAG_RTOL = 1e-10
 
 #: Tr(W rho) detects rho below -DETECTION_RTOL ||W||_F ||rho||_F (detection_threshold).
 DETECTION_RTOL = 1e-12
@@ -97,18 +97,21 @@ class HermitianOp:
         n = self.space.total
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {n}")
+        h = m.conj().T
+        # a non-finite m, or one whose m + h overflows, stores a non-finite
+        # matrix; a NaN or inf bound never rejects, so the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.array_equal(m, h):  # an exactly Hermitian m deviates by 0
+                bound = _hermiticity_bound(m)
+                deviation = float(np.abs(m - h).max())
+                if deviation > bound:
+                    raise ValueError(
+                        f"matrix is not Hermitian: max|M - M^dag| = {deviation:.3e} "
+                        f"exceeds {HERMITICITY_RTOL:g} * max|M| = {bound:.3e}"
+                    )
+            m = (m + h) / 2.0
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        h = m.conj().T
-        if not np.array_equal(m, h):  # an exactly Hermitian m deviates by 0
-            bound = _hermiticity_bound(m)
-            deviation = float(np.abs(m - h).max())
-            if deviation > bound:
-                raise ValueError(
-                    f"matrix is not Hermitian: max|M - M^dag| = {deviation:.3e} "
-                    f"exceeds {HERMITICITY_RTOL:g} * max|M| = {bound:.3e}"
-                )
-        m = (m + h) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -125,7 +128,7 @@ class HermitianOp:
         return HermitianOp(self.space, self.matrix - other.matrix)
 
     def __mul__(self, scalar: float) -> "HermitianOp":
-        if isinstance(scalar, complex):
+        if np.iscomplexobj(scalar):  # complex, np.complex64 and np.complex128 alike
             if scalar.imag != 0:
                 raise ValueError("only real scalars keep the operator Hermitian")
             scalar = scalar.real
@@ -234,11 +237,12 @@ def trace_pair(w: HermitianOp, rho: HermitianOp) -> float:
     """Re Tr(W rho) for operators on the same space.
 
     For Hermitian inputs the trace is real; an imaginary part above
-    TRACE_IMAG_TOL signals numerical corruption and raises.
+    TRACE_IMAG_RTOL ||W||_F ||rho||_F signals numerical corruption and raises.
+    The norms are taken only when the imaginary part is nonzero.
     """
     w._require_same_space(rho)
     value = complex(np.einsum("ij,ji->", w.matrix, rho.matrix))
-    if abs(value.imag) > TRACE_IMAG_TOL:
+    if value.imag and abs(value.imag) > TRACE_IMAG_RTOL * w.norm() * rho.norm():
         raise ArithmeticError(
             f"Tr(W rho) has imaginary part {value.imag:.3e}; inputs are corrupted"
         )

@@ -214,10 +214,16 @@ def map_table_from_json_dict(doc: Any, booleans: bool = True) -> LinearMapTable:
 
 
 def write_map_table(path: str, table: LinearMapTable) -> None:
-    """Write json.dumps of {"d_in", "d_out", "images": [{"re", "im"}, ...]} and a newline."""
-    res, ims = _json_texts(table.images.real), _json_texts(table.images.imag)
+    """Write json.dumps of {"d_in", "d_out", "images": [{"re", "im"}, ...]} and a newline.
+
+    images[i*d_in + j] is phi(e_ij), block (i, j) of the table's Choi matrix.
+    """
+    d_in, d_out = table.choi.space.dims
+    m = table.choi.matrix
+    res, ims = (_json_texts(part.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
+                            .reshape(-1, d_out, d_out)) for part in (m.real, m.imag))
     images = ", ".join(f'{{"re": {re}, "im": {im}}}' for re, im in zip(res, ims))
-    _write_text(path, f'{{"d_in": {table.d_in}, "d_out": {table.d_out}, "images": [{images}]}}\n')
+    _write_text(path, f'{{"d_in": {d_in}, "d_out": {d_out}, "images": [{images}]}}\n')
 
 
 def read_map_table(path: str) -> LinearMapTable:
@@ -247,16 +253,12 @@ def _sweep_csv_chunks(table: SweepTable) -> Iterator[str]:
                        for tail, value, hit in zip(tails, row_traces, row_hits)])
 
 
-def sweep_to_csv(table: SweepTable) -> str:
-    """CSV text: header gamma,lambda,mu,alpha,trace,detected; alpha is always empty.
-
-    One row per grid point, gamma outer, lambda middle, mu inner; every
-    number in shortest round-trip form.
-    """
-    return "".join(_sweep_csv_chunks(table))
-
-
 def write_sweep_csv(path: str, table: SweepTable) -> None:
-    """Write sweep_to_csv(table) one gamma at a time."""
+    """Write the sweep as CSV, one gamma at a time.
+
+    The header is gamma,lambda,mu,alpha,trace,detected, and alpha is always
+    empty. There is one row per grid point, gamma outer, lambda middle, mu
+    inner, with every number in shortest round-trip form.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(_sweep_csv_chunks(table))

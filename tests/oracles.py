@@ -8,7 +8,8 @@ unit at a time, thresholds come from brute-force sign scans of traces evaluated
 on explicitly mixed matrices, product minima come from a dense grid over
 real product vectors, the sweep kernel against a per-gamma loop of exactly
 summed traces, the witness, Ha-state and block-positivity scan kernels
-against their per-block and per-restart loops, the operator, map-table
+against their per-block and per-restart loops (the Ha weights from their
+printed formulas), the operator, map-table
 and sweep writers against per-entry and per-row codecs, and the readers'
 re/im conversion against a type check of every entry.
 """
@@ -27,7 +28,6 @@ from ewkit import (
     HermitianOp,
     LinearMapTable,
     ScanConfig,
-    StateFamilyParams,
     bipartite,
     projector_p,
     projector_q,
@@ -101,7 +101,7 @@ def _choi_formula_terms(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def choi_map_formula(d: int, k: int) -> np.ndarray:
     """Images of x -> (d-k) pinch(x) + sum_{l=1..k} pinch(S^l x S^-l) - x on each e_ij.
 
-    Stacked as (d^2, d, d) with phi(e_ij) at i*d + j, like LinearMapTable.images.
+    Stacked as (d^2, d, d) with phi(e_ij) at i*d + j, like map_images.
     """
     units, pinched, shift_sums = _choi_formula_terms(d)
     images = (d - k) * pinched - units
@@ -138,6 +138,11 @@ def dejamiolkowski_slices(w: HermitianOp) -> list[np.ndarray]:
         for i in range(d_in)
         for j in range(d_in)
     ]
+
+
+def map_images(table: LinearMapTable) -> np.ndarray:
+    """The images phi(e_ij) of a table, stacked at i*d_in + j, one image(i, j) each."""
+    return np.array([table.image(i, j) for i in range(table.d_in) for j in range(table.d_in)])
 
 
 def map_apply_loop(table: LinearMapTable, x: np.ndarray) -> np.ndarray:
@@ -178,7 +183,7 @@ def write_operator_per_entry(path: str, op: HermitianOp, meta: dict | None = Non
 def write_map_table_per_entry(path: str, table: LinearMapTable) -> None:
     """The map-table file, one image at a time, each entry converted by _num."""
     images = []
-    for img in table.images:
+    for img in map_images(table):
         re, im = _matrix_to_lists(img)
         images.append({"re": re, "im": im})
     _write_json_streamed(path, {"d_in": table.d_in, "d_out": table.d_out, "images": images})
@@ -330,10 +335,19 @@ def witness_dk_blocks(d: int, k: int) -> HermitianOp:
     return HermitianOp(bipartite(d), w)
 
 
+def ha_weights(d: int, gamma: float) -> tuple[float, float, float]:
+    """The Ha state's diagonal weights a_gamma, b_gamma and its normalization n_gamma.
+
+    As printed: a_gamma = (gamma^2 + d - 1)/d, b_gamma = (gamma^-2 + d - 1)/d
+    and n_gamma = d^2 - 2 + gamma^2 + gamma^-2, the trace of the unnormalized
+    state (d - 2 ones, a_gamma and b_gamma on each of d diagonal blocks).
+    """
+    return (gamma**2 + d - 1) / d, (gamma**-2 + d - 1) / d, d**2 - 2 + gamma**2 + gamma**-2
+
+
 def ha_state_blocks(d: int, gamma: float) -> HermitianOp:
     """The Ha state assembled block by block: shifted diagonals and the comb."""
-    params = StateFamilyParams(d, gamma)
-    a, b, n = params.a_gamma, params.b_gamma, params.n_gamma
+    a, b, n = ha_weights(d, gamma)
     base = np.zeros(d, dtype=complex)
     base[0] = 1.0
     base[1] = a

@@ -11,7 +11,6 @@ import numpy as np
 from ewkit import (
     HermitianOp,
     ScanConfig,
-    StateFamilyParams,
     TensorSpace,
     alpha_threshold,
     bipartite,
@@ -41,8 +40,10 @@ from ewkit import (
 from oracles import (
     alpha_sign_scan,
     choi_map_formula,
+    ha_weights,
     kron_chain,
     lambda_sign_scan,
+    map_images,
     random_hermitian,
 )
 from test_construct import W0_MATRIX, expected_perturbed_matrix
@@ -78,7 +79,7 @@ def test_criterion_02_trace_identity():
             for k in range(1, d - 1):
                 w = witness_dk(d, k)
                 for gamma in GAMMA_GRID:
-                    expected = (gamma**2 - 1) / StateFamilyParams(d, gamma).n_gamma
+                    expected = (gamma**2 - 1) / ha_weights(d, gamma)[2]
                     value = trace_pair(w, ha_state(d, gamma))
                     assert abs(value - expected) <= 1e-12, (d, k, gamma)
 
@@ -184,7 +185,7 @@ def test_criterion_07_cj_round_trip():
         for d in range(3, 21):
             for k in range(1, d):
                 table = choi_map(d, k)
-                assert np.array_equal(table.images, choi_map_formula(d, k))
+                assert np.array_equal(map_images(table), choi_map_formula(d, k))
                 assert np.array_equal(jamiolkowski(table).matrix, witness_dk(d, k).matrix)
 
     _gate(

@@ -161,6 +161,20 @@ class TestPair:
         code, _, _ = run(capsys, "pair", w0_path, str(tmp_path / "nope.json"))
         assert code == 3
 
+    def test_entry_that_overflows_the_gate_exits_3(self, tmp_path, capsys):
+        # finite, but (M + M^dag) / 2 overflows
+        re = np.eye(4).tolist()
+        re[0][0] = 1e308
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"dims": [2, 2], "re": re, "im": np.zeros((4, 4)).tolist()}))
+        mixed = tmp_path / "mm.json"
+        mixed.write_text(json.dumps({"dims": [2, 2], "re": (np.eye(4) / 4).tolist(),
+                                     "im": np.zeros((4, 4)).tolist()}))
+        for argv in (("pair", str(big), str(mixed)), ("certify", "blockpos", "-w", str(big))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert "matrix entries must be finite" in err
+
 
 class TestBounds:
     def test_lambda_value(self, tmp_path, capsys, w0_path):

@@ -1,12 +1,13 @@
 """Witness and state constructors against the printed matrices and identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ewkit import (
     HermitianOp,
     LinearMapTable,
-    StateFamilyParams,
     TensorSpace,
     bipartite,
     choi_map,
@@ -32,9 +33,11 @@ from oracles import (
     choi_map_formula,
     dejamiolkowski_slices,
     ha_state_blocks,
+    ha_weights,
     identity_map_units,
     jamiolkowski_kron_sum,
     map_apply_loop,
+    map_images,
     matrix_unit,
     random_hermitian,
     shift_operator,
@@ -136,7 +139,7 @@ class TestChoiMap:
         # choi_map is built from the witness, so check it against the map's
         # own formula applied to each matrix unit
         table = choi_map(d, k)
-        assert np.array_equal(table.images, choi_map_formula(d, k))
+        assert np.array_equal(map_images(table), choi_map_formula(d, k))
         assert np.array_equal(jamiolkowski(table).matrix, witness_dk(d, k).matrix)
 
     def test_apply_matches_tabulation(self):
@@ -165,8 +168,8 @@ class TestJamiolkowski:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_identity_and_transpose_match_unit_oracles(self, d):
-        assert np.array_equal(identity_map(d).images, identity_map_units(d))
-        assert np.array_equal(transpose_map(d).images, transpose_map_units(d))
+        assert np.array_equal(map_images(identity_map(d)), identity_map_units(d))
+        assert np.array_equal(map_images(transpose_map(d)), transpose_map_units(d))
 
     def test_transpose_map_is_swap(self):
         w = jamiolkowski(transpose_map(2))
@@ -224,7 +227,7 @@ class TestDejamiolkowski:
         table = dejamiolkowski(w)
         assert table.choi is w
         assert jamiolkowski(table) is w
-        assert not table.images.flags.writeable
+        assert [f.name for f in dataclasses.fields(table)] == ["choi"]
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(9)
@@ -249,9 +252,11 @@ class TestDejamiolkowski:
         op = HermitianOp(space, random_hermitian(rng, space.total))
         table = dejamiolkowski(op)
         assert (table.d_in, table.d_out) == dims
-        assert len(table.images) == dims[0] ** 2
-        for image, expected in zip(table.images, dejamiolkowski_slices(op), strict=True):
+        images = [table.image(i, j) for i in range(dims[0]) for j in range(dims[0])]
+        for image, expected in zip(images, dejamiolkowski_slices(op), strict=True):
             assert np.array_equal(image, expected)
+            # a read-only view of the operator, not a copy
+            assert np.shares_memory(image, table.choi.matrix) and not image.flags.writeable
 
     def test_rejects_non_bipartite(self):
         op = HermitianOp(TensorSpace((2, 2, 2)), np.eye(8, dtype=complex))
@@ -307,8 +312,7 @@ class TestHaState:
         for k in range(1, d - 1):
             w = witness_dk(d, k)
             for gamma in GAMMA_GRID_20:
-                params = StateFamilyParams(d, gamma)
-                expected = (gamma**2 - 1) / params.n_gamma
+                expected = (gamma**2 - 1) / ha_weights(d, gamma)[2]
                 value = trace_pair(w, ha_state(d, gamma))
                 assert abs(value - expected) <= 1e-12, (d, k, gamma)
 
@@ -372,8 +376,7 @@ class TestProjectors:
             direct = sum(
                 rho.matrix[r, c].real for r in P_SUPPORT for c in P_SUPPORT
             )
-            params = StateFamilyParams(3, gamma)
-            expected = (gamma**-2 + 2) / params.n_gamma
+            expected = (gamma**-2 + 2) / ha_weights(3, gamma)[2]
             assert trace_pair(projector_p(3), rho) == pytest.approx(direct, abs=1e-14)
             assert direct == pytest.approx(expected, abs=1e-12)
 
@@ -428,8 +431,7 @@ class TestConvexCombination:
         mixed = convex_combination(ops, weights)
         for gamma in (0.4, 0.8):
             rho = ha_state(5, gamma)
-            params = StateFamilyParams(5, gamma)
-            expected = (gamma**2 - 1) / params.n_gamma
+            expected = (gamma**2 - 1) / ha_weights(5, gamma)[2]
             assert trace_pair(mixed, rho) == pytest.approx(expected, abs=1e-12)
 
     def test_mix_of_states_is_ppt(self):
@@ -480,21 +482,21 @@ class TestWitnessFromDifference:
 
 
 class TestParams:
-    def test_state_params_derived_values_consistent(self):
+    def test_state_diagonal_carries_the_printed_weights(self):
         for d in (3, 4, 5):
             for gamma in (0.3, 0.7, 1.0, 1.4):
-                params = StateFamilyParams(d, gamma)
-                assert abs(params.a_gamma - (gamma**2 + d - 1) / d) <= 1e-14
-                assert abs(params.b_gamma - (gamma**-2 + d - 1) / d) <= 1e-14
-                assert (
-                    abs(params.n_gamma - (d**2 - 2 + gamma**2 + gamma**-2)) <= 1e-14
-                )
+                a, b, n = ha_weights(d, gamma)
+                diagonal = ha_state(d, gamma).matrix.diagonal().real
+                # block 0 is diag(1, a_gamma, 1, ..., 1, b_gamma) / n_gamma
+                assert abs(diagonal[0] - 1 / n) <= 1e-14
+                assert abs(diagonal[1] - a / n) <= 1e-14
+                assert abs(diagonal[d - 1] - b / n) <= 1e-14
 
     def test_d3_reduction(self):
-        params = StateFamilyParams(3, 0.5)
-        assert params.a_gamma == pytest.approx((0.25 + 2) / 3, abs=0)
-        assert params.b_gamma == pytest.approx((4 + 2) / 3, abs=0)
-        assert params.n_gamma == pytest.approx(7 + 0.25 + 4, abs=0)
+        a, b, n = ha_weights(3, 0.5)
+        assert (a, b, n) == ((0.25 + 2) / 3, (4 + 2) / 3, 7 + 0.25 + 4)
+        diagonal = ha_state(3, 0.5).matrix.diagonal().real
+        assert diagonal[:3].tolist() == [1 / n, a / n, b / n]
 
     def test_witness_params_validation(self):
         perturbed_witness(3, 2, 0.0, 0.0)  # k = d-1 allowed

@@ -92,7 +92,9 @@ class TestHermitianOp:
         with pytest.raises(ValueError, match="shape"):
             HermitianOp(bipartite(2), np.eye(5, dtype=complex))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
+    @pytest.mark.filterwarnings("error")
+    # 1e308 is finite, but the stored (M + M^dag) / 2 overflows
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan), 1e308])
     def test_rejects_non_finite_entry(self, value):
         m = np.eye(4, dtype=complex)
         m[2, 2] = value
@@ -117,6 +119,15 @@ class TestHermitianOp:
         assert np.array_equal((b - a).matrix, np.eye(4))
         assert np.array_equal((2.0 * a).matrix, 2 * np.eye(4))
         assert np.array_equal((-a).matrix, -np.eye(4))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [complex, np.complex64, np.complex128])
+    def test_complex_scalars_need_a_zero_imaginary_part(self, kind):
+        w = witness_dk(3, 1)
+        for product in (lambda c: w * c, lambda c: c * w):
+            with pytest.raises(ValueError, match="only real scalars"):
+                product(kind(2 + 1j))
+            assert np.array_equal(product(kind(2)).matrix, 2 * w.matrix)
 
 
 def _local(m: np.ndarray) -> HermitianOp:

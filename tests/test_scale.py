@@ -49,9 +49,21 @@ from ewkit.certify import HA_SCHMIDT_ASSUMPTION
 from ewkit.cli import main
 from ewkit.core import HermitianOp, detection_threshold
 
+from oracles import random_hermitian
+
 
 def q_minus_p(d):
     return projector_q(d) - projector_p(d)
+
+
+def local_unitary_witness(d, seed):
+    """(U x V) W_{d,1} (U x V)^dag for seeded unitaries U, V: a complex witness."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            for _ in range(2))
+    uv = np.kron(u, v)
+    w = witness_dk(d, 1)
+    return HermitianOp(w.space, uv @ w.matrix @ uv.conj().T)
 
 
 def product_state(cert):
@@ -95,6 +107,15 @@ class TestRepros:
         assert revalidate(cert)
         unscaled = blockpos_scan(witness_dk(3, 1), config)
         assert cert.evidence["unconverged_restarts"] == unscaled.evidence["unconverged_restarts"]
+
+    def test_trace_of_complex_operators_kept_at_large_scale(self):
+        # round-off leaves Tr(W rho) an imaginary part -3.7e-9 at 1e8, far
+        # below ||W||_F ||rho||_F but above an absolute 1e-10
+        w = HermitianOp(bipartite(3), random_hermitian(np.random.default_rng(0), 9))
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        rho = HermitianOp(bipartite(3), g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        assert trace_pair(1e8 * w, rho) == pytest.approx(1e8 * trace_pair(w, rho), rel=1e-12)
 
     def test_detected_sigma_makes_mixing_line_inconsistent(self):
         t = 7.5e-10
@@ -174,9 +195,11 @@ def pair_output(w, rho):
 
 
 @settings(max_examples=15, deadline=None)
-@given(c=SCALES, d=DIMS, gamma=GAMMAS)
-def test_pair_invariant(c, d, gamma):
-    w, rho = witness_dk(d, 1), ha_state(d, gamma)
+@given(c=SCALES, d=DIMS, gamma=GAMMAS, rotation=st.one_of(st.none(), st.integers(0, 2**16)))
+def test_pair_invariant(c, d, gamma, rotation):
+    # rotation seeds a complex witness, whose trace has a round-off imaginary part
+    w = witness_dk(d, 1) if rotation is None else local_unitary_witness(d, rotation)
+    rho = ha_state(d, gamma)
     assert pair_output(c * w, rho) == pair_output(w, rho)
 
 
