@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     HermitianOp,
     TensorSpace,
+    _NotFiniteError,
     _hermiticity_bound,
     _require_psd,
     bipartite,
@@ -93,10 +94,10 @@ class LinearMapTable:
         blocks = units.reshape(d_in, d_in, d_out, d_out)
         try:
             choi = HermitianOp(space, blocks.transpose(0, 2, 1, 3).reshape(space.total, -1))
+        except _NotFiniteError:  # an entry, or (M + M^dag)/2, is not finite
+            raise
         except ValueError:
-            if not np.isfinite(units).all():
-                raise
-            # finite: some dev[i, j] = max |phi(e_ij)^dag - phi(e_ji)| exceeds the bound
+            # not Hermitian: some dev[i, j] = max |phi(e_ij)^dag - phi(e_ji)| exceeds the bound
             dev = np.abs(blocks.conj().transpose(1, 0, 3, 2) - blocks).max(axis=(2, 3))
             bound = _hermiticity_bound(units)
             i, j = np.argwhere(dev > bound)[0]
@@ -108,16 +109,18 @@ class LinearMapTable:
         """phi(e_ij) for 0 <= i, j < d_in: a read-only view of block (i, j) of choi."""
         if not (0 <= i < self.d_in and 0 <= j < self.d_in):
             raise ValueError(f"matrix unit ({i},{j}) out of range for d_in={self.d_in}")
-        n = self.d_out
-        return self.choi.matrix[i * n : (i + 1) * n, j * n : (j + 1) * n]
+        return self._blocks()[i, :, j, :]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the map on an arbitrary d_in x d_in matrix by linearity."""
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.d_in, self.d_in):
             raise ValueError(f"argument shape {x.shape} != ({self.d_in}, {self.d_in})")
-        blocks = self.choi.matrix.reshape(self.choi.space.dims * 2)  # [i, :, j, :] = phi(e_ij)
-        return np.tensordot(x, blocks, axes=([0, 1], [0, 2]))
+        return np.tensordot(x, self._blocks(), axes=([0, 1], [0, 2]))
+
+    def _blocks(self) -> np.ndarray:
+        """The read-only view of choi with [i, :, j, :] = phi(e_ij): the one home of the layout."""
+        return self.choi.matrix.reshape(self.choi.space.dims * 2)
 
 
 def _comb_and_cyclic_diagonal(d: int, comb: float, base: np.ndarray) -> np.ndarray:

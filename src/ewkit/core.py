@@ -73,6 +73,10 @@ def bipartite(d: int) -> TensorSpace:
     return TensorSpace((d, d))
 
 
+class _NotFiniteError(ValueError):
+    """The gate's rejection of a non-finite matrix, or one whose (M + M^dag)/2 overflows."""
+
+
 def _hermiticity_bound(m: np.ndarray) -> float:
     """HERMITICITY_RTOL * max|m|: the gate rejects m when max|M - M^dag| exceeds it."""
     return HERMITICITY_RTOL * float(np.abs(m).max())
@@ -111,7 +115,7 @@ class HermitianOp:
                     )
             m = (m + h) / 2.0
         if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
+            raise _NotFiniteError("matrix entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -148,6 +152,12 @@ class HermitianOp:
     def _require_same_space(self, other: "HermitianOp") -> None:
         if self.space != other.space:
             raise ValueError(f"spaces differ: {self.space.dims} vs {other.space.dims}")
+
+
+def _scaled_norm(m: np.ndarray) -> float:
+    """s ||m / s||_F with s = max|m|: ||m||_F with no squares that under- or overflow."""
+    s = float(np.abs(m).max())
+    return s * float(np.linalg.norm(m / s)) if s else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,11 +248,13 @@ def trace_pair(w: HermitianOp, rho: HermitianOp) -> float:
 
     For Hermitian inputs the trace is real; an imaginary part above
     TRACE_IMAG_RTOL ||W||_F ||rho||_F signals numerical corruption and raises.
-    The norms are taken only when the imaginary part is nonzero.
+    The norms are taken only when the imaginary part is nonzero, scaled so
+    that they neither underflow nor overflow, and divided out one at a time.
     """
     w._require_same_space(rho)
     value = complex(np.einsum("ij,ji->", w.matrix, rho.matrix))
-    if value.imag and abs(value.imag) > TRACE_IMAG_RTOL * w.norm() * rho.norm():
+    if value.imag and (abs(value.imag) / _scaled_norm(w.matrix) / _scaled_norm(rho.matrix)
+                       > TRACE_IMAG_RTOL):
         raise ArithmeticError(
             f"Tr(W rho) has imaginary part {value.imag:.3e}; inputs are corrupted"
         )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .certify import Certificate
 from .construct import LinearMapTable
-from .core import HermitianOp, TensorSpace
+from .core import HermitianOp, TensorSpace, _NotFiniteError
 from .detect import SweepTable
 
 
@@ -209,8 +209,12 @@ def map_table_from_json_dict(doc: Any, booleans: bool = True) -> LinearMapTable:
     else:  # d_in = 0: no entries to check; LinearMapTable rejects the dims
         images = np.zeros(shape, dtype=complex)
     # a Hermiticity-preservation violation is an invalid map, not a malformed
-    # file; let LinearMapTable's ValueError propagate
-    return LinearMapTable.from_images(d_in, d_out, images)
+    # file; let LinearMapTable's ValueError propagate. A Choi matrix that is
+    # not finite fails as the operator file of that matrix fails.
+    try:
+        return LinearMapTable.from_images(d_in, d_out, images)
+    except _NotFiniteError as exc:
+        raise MalformedFileError(f"matrix fails the Hermiticity gate: {exc}") from exc
 
 
 def write_map_table(path: str, table: LinearMapTable) -> None:
@@ -218,10 +222,9 @@ def write_map_table(path: str, table: LinearMapTable) -> None:
 
     images[i*d_in + j] is phi(e_ij), block (i, j) of the table's Choi matrix.
     """
-    d_in, d_out = table.choi.space.dims
-    m = table.choi.matrix
-    res, ims = (_json_texts(part.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
-                            .reshape(-1, d_out, d_out)) for part in (m.real, m.imag))
+    d_in, d_out = table.d_in, table.d_out
+    blocks = table._blocks().transpose(0, 2, 1, 3)  # [i, j] = phi(e_ij)
+    res, ims = (_json_texts(part.reshape(-1, d_out, d_out)) for part in (blocks.real, blocks.imag))
     images = ", ".join(f'{{"re": {re}, "im": {im}}}' for re, im in zip(res, ims))
     _write_text(path, f'{{"d_in": {d_in}, "d_out": {d_out}, "images": [{images}]}}\n')
 

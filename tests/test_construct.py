@@ -196,7 +196,8 @@ class TestJamiolkowski:
             LinearMapTable.from_images(3, 3, images)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    # 1e308 is finite, but the Choi gate's (M + M^dag) / 2 overflows
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
     def test_non_finite_image_rejected_at_construction(self, value):
         images = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]
         images[0][0, 0] = value  # on the diagonal, where phi(e_00)^dag meets itself

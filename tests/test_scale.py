@@ -108,14 +108,17 @@ class TestRepros:
         unscaled = blockpos_scan(witness_dk(3, 1), config)
         assert cert.evidence["unconverged_restarts"] == unscaled.evidence["unconverged_restarts"]
 
-    def test_trace_of_complex_operators_kept_at_large_scale(self):
-        # round-off leaves Tr(W rho) an imaginary part -3.7e-9 at 1e8, far
-        # below ||W||_F ||rho||_F but above an absolute 1e-10
+    # round-off leaves Tr(W rho) an imaginary part -3.7e-9 at 1e8, far below
+    # ||W||_F ||rho||_F but above an absolute 1e-10; at 1e-170 the squares in
+    # ||W||_F underflow to 0 unless the norm is scaled
+    @pytest.mark.parametrize("scale", [1e8, 1e-170])
+    def test_trace_of_complex_operators_kept_at_any_scale(self, scale):
         w = HermitianOp(bipartite(3), random_hermitian(np.random.default_rng(0), 9))
         rng = np.random.default_rng(1)
         g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         rho = HermitianOp(bipartite(3), g @ g.conj().T / np.trace(g @ g.conj().T).real)
-        assert trace_pair(1e8 * w, rho) == pytest.approx(1e8 * trace_pair(w, rho), rel=1e-12)
+        assert trace_pair(scale * w, rho) == pytest.approx(scale * trace_pair(w, rho),
+                                                           rel=1e-12)
 
     def test_detected_sigma_makes_mixing_line_inconsistent(self):
         t = 7.5e-10

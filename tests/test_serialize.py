@@ -129,6 +129,11 @@ BAD_MAP_DOCS = {
     "image_infinity_literal": ({"d_in": 2, "d_out": 2, "images": [
         {"re": unit, "im": [[0, 0], [0, -math.inf]]} for unit in UNITS_2]},
         "not finite numbers: -Infinity entries"),
+    # finite and Hermiticity preserving, but the Choi matrix's (M + M^dag) / 2
+    # overflows: the map file fails as the operator file of that matrix does
+    "image_overflows_the_gate": ({"d_in": 2, "d_out": 2, "images": [
+        {"re": [[1e308, 0], [0, 0]], "im": ZERO_2}] + [{"re": ZERO_2, "im": ZERO_2}] * 3},
+        "matrix fails the Hermiticity gate: matrix entries must be finite"),
 }
 
 # Files json cannot parse into a document, each with what its error names.
