@@ -147,7 +147,7 @@ class HermitianOp:
         return float(np.trace(self.matrix).real)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        return _scaled_norm(self.matrix)
 
     def _require_same_space(self, other: "HermitianOp") -> None:
         if self.space != other.space:
@@ -155,7 +155,16 @@ class HermitianOp:
 
 
 def _scaled_norm(m: np.ndarray) -> float:
-    """s ||m / s||_F with s = max|m|: ||m||_F with no squares that under- or overflow."""
+    """||m||_F with no squares that under- or overflow.
+
+    np.linalg.norm where it lies in [1e-100, 1e100], where squares that
+    under- or overflowed cannot have moved it; elsewhere s ||m / s||_F with
+    s = max|m|, which costs two more passes over m.
+    """
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(m))
+    if 1e-100 <= plain <= 1e100:
+        return plain
     s = float(np.abs(m).max())
     return s * float(np.linalg.norm(m / s)) if s else 0.0
 

@@ -35,6 +35,7 @@ from .core import (
     TensorSpace,
     _default_sigma,
     _require_psd,
+    _scaled_norm,
     detection_threshold,
     is_psd,
     partial_transpose,
@@ -109,7 +110,7 @@ def mu_threshold(
     for name, op in (("P", p), ("Q", q)):
         _require_psd(name, *is_psd(op))
     t_lam = trace_pair(w0, rho0) + lam * trace_pair(p, rho0)
-    return _affine_root(t_lam, float(np.linalg.norm(w0.matrix + lam * p.matrix)), q, rho0)
+    return _affine_root(t_lam, _scaled_norm(w0.matrix + lam * p.matrix), q, rho0)
 
 
 def sample_sppt(

@@ -10,11 +10,19 @@ table is encoded before its file is opened, so a failed write leaves the
 file as it was.
 
 On reading, every re/im entry must be a finite JSON number. A file's text is
-read once and parsed by json.loads; a file that is not UTF-8, not JSON or
-nested too deeply to parse is malformed. The re and im parts are converted
-by a dtype-less np.array, which leaves only one kind of bad entry unseen: a
-true or false among numbers. So a document whose text holds neither literal
-is accepted when both parts come out as finite int or float arrays of the
+read once. An operator file in the writer's own layout (what write_operator
+and json.dumps write: {"dims", "re", "im", "meta"} with ", " and "], ["
+between entries and rows) is read without parsing its zeros: an all-zero
+part is recognised by one string comparison, and otherwise numpy checks the
+part's bytes against the brackets and separators of an n x n matrix and
+hands only the entries other than "0" to one json.loads. Every other text,
+and every map table, is parsed by json.loads; a file that is not UTF-8, not
+JSON or nested too deeply to parse is malformed. The layout check raises
+nothing: a text it does not take goes to json.loads, so each error has one
+message. The re and im parts of a parsed document are converted by a
+dtype-less np.array, which leaves only one kind of bad entry unseen: a true
+or false among numbers. So a document whose text holds neither literal is
+accepted when both parts come out as finite int or float arrays of the
 right shape; every other document goes through the per-entry type scan,
 which gives each rejection its message.
 """
@@ -22,6 +30,8 @@ which gives each rejection its message.
 from __future__ import annotations
 
 import json
+import math
+import re
 from itertools import chain
 from typing import Any, Iterator
 
@@ -37,19 +47,27 @@ class MalformedFileError(ValueError):
     """The file is not a valid operator / map-table document."""
 
 
-def _read_json(path: str) -> tuple[Any, bool]:
-    """The document in the file, and whether its text holds a true or false literal."""
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        doc = json.loads(text)
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedFileError(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+
+
+def _parse_json(path: str, text: str) -> tuple[Any, bool]:
+    """The document in a file's text, and whether the text holds a true or false literal."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond int's digit limit
         raise MalformedFileError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise MalformedFileError(f"{path}: JSON nested too deeply to parse") from exc
     return doc, "true" in text or "false" in text
+
+
+def _read_json(path: str) -> tuple[Any, bool]:
+    return _parse_json(path, _read_text(path))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -93,6 +111,8 @@ def _numeric_array(re: Any, im: Any, shape: tuple[int, ...]) -> np.ndarray:
     try:
         re_arr = np.array(re, dtype=float)
         im_arr = np.array(im, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range is not finite, as 1e999
+        raise MalformedFileError(f"re/im are not finite numbers: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise MalformedFileError(f"re/im are not numeric matrices: {exc}") from exc
     if re_arr.shape != shape or im_arr.shape != shape:
@@ -141,6 +161,25 @@ def _parts_array(re: Any, im: Any, shape: tuple[int, ...], booleans: bool) -> np
     return _numeric_array(re, im, shape)
 
 
+def _space(dims: list[int]) -> TensorSpace:
+    try:
+        return TensorSpace(tuple(dims))
+    except ValueError as exc:
+        raise MalformedFileError(str(exc)) from exc
+
+
+def _operator(space: TensorSpace, matrix: np.ndarray, meta: Any) -> tuple[HermitianOp, dict]:
+    """The gated operator of a document's parts, and its meta ({} for null or absent)."""
+    try:
+        op = HermitianOp(space, matrix)
+    except ValueError as exc:
+        raise MalformedFileError(f"matrix fails the Hermiticity gate: {exc}") from exc
+    meta = {} if meta is None else meta
+    if not isinstance(meta, dict):
+        raise MalformedFileError("meta must be a JSON object")
+    return op, meta
+
+
 def operator_from_json_dict(doc: Any, booleans: bool = True) -> tuple[HermitianOp, dict]:
     """The operator and meta of a document; see _parts_array for booleans."""
     if not isinstance(doc, dict):
@@ -148,22 +187,105 @@ def operator_from_json_dict(doc: Any, booleans: bool = True) -> tuple[HermitianO
     dims = doc.get("dims")
     if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise MalformedFileError(f"dims must be a list of JSON integers, got {dims!r}")
-    try:
-        space = TensorSpace(tuple(dims))
-    except ValueError as exc:
-        raise MalformedFileError(str(exc)) from exc
+    space = _space(dims)
     if "re" not in doc or "im" not in doc:
         raise MalformedFileError("operator document must carry re and im matrices")
     n = space.total
-    matrix = _parts_array(doc["re"], doc["im"], (n, n), booleans)
+    return _operator(space, _parts_array(doc["re"], doc["im"], (n, n), booleans), doc.get("meta"))
+
+
+# The writer's layout, {"dims": [..], "re": P, "im": P, "meta": M} with P an n x n
+# matrix in json.dumps's separators, read without parsing every zero entry.
+_WRITER_HEAD = re.compile(r'\{"dims": \[([1-9][0-9]{0,8}(?:, [1-9][0-9]{0,8})*)\], "re": ')
+_NUMBER_BYTES = b"0123456789+-.eE"  # the bytes a JSON number is written with
+_NUMBER_FLAGS = bytes(int(i in _NUMBER_BYTES) for i in range(256))  # bytes.translate table
+
+
+def _zero_text(n: int) -> str:
+    """The text json.dumps gives an n x n matrix of int zeros."""
+    return "[" + ", ".join(["[" + ", ".join("0" * n) + "]"] * n) + "]"
+
+
+def _writer_matrix(text: str, start: int, n: int, zeros: str) -> tuple[np.ndarray, int] | None:
+    """The n * n entries of the matrix written at text[start:], and where it ends.
+
+    zeros is _zero_text(n); a matrix with that text is all zero. Any other
+    matrix gives None unless its non-number bytes are exactly the brackets
+    and separators of an n x n matrix, it holds n * n entries, each between
+    "[" or " " and "," or "]", and its entries other than "0" come out of
+    one json.loads as a finite int or float array.
+    """
+    if text.startswith(zeros, start):
+        return np.zeros(n * n), start + len(zeros)
+    # the shortest n x n matrix is as long as zeros; a shorter one is not in the layout
+    end = text.find("]]", start + len(zeros) - 2) + 2
+    part = text[start:end]
+    if end < 2 or not part.isascii():
+        return None
+    raw = part.encode("ascii")
+    if raw.translate(None, _NUMBER_BYTES) != b"[[" + b"], [".join([b", " * (n - 1)] * n) + b"]]":
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    number = np.frombuffer(raw.translate(_NUMBER_FLAGS), dtype=bool)
+    # over bytes 1 .. len - 2 (byte 0 is "[", the last "]"): where entries start and end
+    first, last = number[1:-1] & ~number[:-2], number[1:-1] & ~number[2:]
+    closer = (b == ord(",")) | (b == ord("]"))
+    if (np.count_nonzero(first) != n * n or (first & closer[:-2]).any()
+            or (last & ~closer[2:]).any()):
+        return None
+    del closer
+    zero = first & last & (b[1:-1] == ord("0"))
+    first &= ~zero
+    last &= ~zero
+    # an entry's index counts the entries before it: the others, then the "0" ones
+    heads = np.flatnonzero(first)
+    index = np.arange(heads.size) + np.searchsorted(np.flatnonzero(zero), heads)
+    # the other entries' bytes, each followed by its closer: "1,-0.5]2,"
+    keep = np.zeros(len(raw), dtype=bool)
+    keep[1:-1] = number[1:-1] & ~zero
+    keep[2:] |= last
+    kept = b[keep].tobytes()
+    del b, number, first, last, zero, keep
     try:
-        op = HermitianOp(space, matrix)
-    except ValueError as exc:
-        raise MalformedFileError(f"matrix fails the Hermiticity gate: {exc}") from exc
-    meta = {} if doc.get("meta") is None else doc["meta"]
-    if not isinstance(meta, dict):
-        raise MalformedFileError("meta must be a JSON object")
-    return op, meta
+        values = np.array(json.loads(b"[" + kept[:-1].replace(b"]", b",") + b"]"))
+    except (ValueError, OverflowError):  # not JSON numbers, or an integer out of range
+        return None
+    if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+        return None
+    entries = np.zeros(n * n)
+    entries[index] = values
+    return entries, end
+
+
+def _writer_layout(text: str) -> tuple[list[int], np.ndarray, Any] | None:
+    """(dims, re + 1j*im, meta) of an operator file's text in the writer's layout, else None.
+
+    Any text this returns parts of is a document that json.loads and
+    _parts_array read to the same dims, the same bits of re and im, and the
+    same meta; it raises nothing, so every error keeps its one message.
+    """
+    head = _WRITER_HEAD.match(text)
+    if head is None:
+        return None
+    dims = [int(d) for d in head.group(1).split(", ")]
+    n = math.prod(dims)
+    if len(text) < 2 * (3 * n * n + 2 * n):  # too short for two n x n matrices
+        return None
+    zeros, parts, start = _zero_text(n), [], head.end()
+    for key in (', "im": ', ', "meta": '):
+        found = _writer_matrix(text, start, n, zeros)
+        if found is None or not text.startswith(key, found[1]):
+            return None
+        entries, end = found
+        parts.append(entries.reshape(n, n))
+        start = end + len(key)
+    try:
+        meta, end = json.JSONDecoder().raw_decode(text, start)
+    except (ValueError, RecursionError):
+        return None
+    if text[end:end + 1] != "}" or text[end + 1:].strip(" \t\n\r"):
+        return None
+    return dims, _complex(*parts), meta
 
 
 def write_operator(path: str, op: HermitianOp, meta: dict | None = None) -> None:
@@ -181,7 +303,13 @@ def write_operator(path: str, op: HermitianOp, meta: dict | None = None) -> None
 
 
 def read_operator(path: str) -> tuple[HermitianOp, dict]:
-    return operator_from_json_dict(*_read_json(path))
+    text = _read_text(path)
+    layout = _writer_layout(text)
+    if layout is None:
+        return operator_from_json_dict(*_parse_json(path, text))
+    del text  # not held through the gate's copies
+    dims, matrix, meta = layout
+    return _operator(_space(dims), matrix, meta)
 
 
 def map_table_from_json_dict(doc: Any, booleans: bool = True) -> LinearMapTable:

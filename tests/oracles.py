@@ -203,6 +203,8 @@ def numeric_parts_per_entry(
     try:
         re_arr = np.array(re, dtype=float)
         im_arr = np.array(im, dtype=float)
+    except OverflowError as exc:
+        raise MalformedFileError(f"re/im are not finite numbers: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise MalformedFileError(f"re/im are not numeric matrices: {exc}") from exc
     if re_arr.shape != shape or im_arr.shape != shape:

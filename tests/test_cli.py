@@ -175,6 +175,16 @@ class TestPair:
             assert (code, out) == (3, "")
             assert "matrix entries must be finite" in err
 
+    def test_integer_entry_beyond_float_or_digit_limit_exits_3(self, tmp_path, capsys):
+        # 10**400 overflows float conversion; 5001 digits pass Python's int-parsing limit
+        for digits in (str(10**400), "1" * 5001):
+            path = tmp_path / "big.json"
+            path.write_text(f'{{"dims": [2], "re": [[{digits}, 0], [0, 1]], '
+                            f'"im": [[0, 0], [0, 0]], "meta": {{}}}}\n')
+            code, out, err = run(capsys, "pair", str(path), str(path))
+            assert (code, out) == (3, "")
+            assert "not finite numbers" in err or "not valid JSON" in err
+
 
 class TestBounds:
     def test_lambda_value(self, tmp_path, capsys, w0_path):
@@ -679,3 +689,14 @@ class TestCj:
                            "--out", str(tmp_path / "w.json"))
         assert code == 2
         assert "Hermiticity" in err
+
+    def test_integer_image_entry_beyond_float_or_digit_limit_exits_3(self, tmp_path, capsys):
+        for digits in (str(10**400), "1" * 5001):
+            images = [f'{{"re": [[{digits if i == 0 else 0}, 0], [0, 0]], "im": [[0, 0], [0, 0]]}}'
+                      for i in range(4)]
+            path = tmp_path / "big_map.json"
+            path.write_text(f'{{"d_in": 2, "d_out": 2, "images": [{", ".join(images)}]}}\n')
+            code, out, err = run(capsys, "cj", "to-witness", "-m", str(path),
+                                 "--out", str(tmp_path / "w.json"))
+            assert (code, out) == (3, "")
+            assert "not finite numbers" in err or "not valid JSON" in err

@@ -120,6 +120,21 @@ class TestRepros:
         assert trace_pair(scale * w, rho) == pytest.approx(scale * trace_pair(w, rho),
                                                            rel=1e-12)
 
+    # beyond about 1e154 (or below 1e-154) the squares in ||W||_F overflow to inf
+    # (or underflow to 0), and the detection threshold with them
+    def test_scan_passes_witness_at_tiny_scale(self):
+        assert blockpos_scan(1e-200 * witness_dk(3, 1)).verdict
+
+    def test_scan_finds_violation_at_huge_scale(self):
+        assert not blockpos_scan(1e160 * q_minus_p(3)).verdict
+
+    def test_detection_kept_at_huge_scale(self):
+        assert certify_detection(1e160 * witness_dk(3, 1), ha_state(3, 0.5)).verdict
+
+    def test_norm_keeps_its_digits_at_tiny_scale(self):
+        norm = (1e-160 * witness_dk(3, 1)).norm()
+        assert norm == pytest.approx(1e-160 * math.sqrt(12), rel=1e-15, abs=0)
+
     def test_detected_sigma_makes_mixing_line_inconsistent(self):
         t = 7.5e-10
         product = product_basis_state(bipartite(3), [0, 2])

@@ -455,7 +455,7 @@ NUMBERS = st.one_of(
 )
 #: Entries the readers reject; "@1e999" is written as the literal 1e999, read as inf.
 ODD_ENTRIES = st.sampled_from([True, False, None, "1", "x", [1], math.nan, math.inf,
-                               -math.inf, "@1e999"])
+                               -math.inf, "@1e999", 10**400])
 
 
 def _draw_part(data, count: int | None, n: int, odd: bool) -> list:
@@ -502,18 +502,18 @@ class TestReaderSkipsTheTypeScan:
             assert got.imag.tobytes() == expected[1].tobytes()
 
     def test_type_scan_runs_only_for_a_text_with_true_or_false(self, tmp_path, monkeypatch):
+        # an indented file is not in the writer's layout, so json.loads reads it
         scanned = []
         scan = serialize._numeric_array
         monkeypatch.setattr(serialize, "_numeric_array",
                             lambda *args: scanned.append(args) or scan(*args))
-        path, w = str(tmp_path / "w.json"), witness_dk(3, 1)
-        write_operator(path, w)
-        assert np.array_equal(read_operator(path)[0].matrix, w.matrix)
-        assert not scanned
-        write_operator(path, w, {"note": True})
-        op, meta = read_operator(path)
-        assert np.array_equal(op.matrix, w.matrix) and meta == {"note": True}
-        assert len(scanned) == 1
+        path, w = tmp_path / "w.json", witness_dk(3, 1)
+        for meta, scans in (({}, 0), ({"note": True}, 1)):
+            write_operator(str(path), w, meta)
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+            op, got = read_operator(str(path))
+            assert np.array_equal(op.matrix, w.matrix) and got == meta
+            assert len(scanned) == scans
 
     def test_true_in_meta_with_valid_parts_is_read_by_pair(self, tmp_path, capsys):
         w_path, rho_path = str(tmp_path / "w.json"), str(tmp_path / "rho.json")
@@ -530,6 +530,190 @@ class TestReaderSkipsTheTypeScan:
             read_operator(str(path))
         assert main(["pair", str(path), str(path)]) == 3
         assert capsys.readouterr().out == ""
+
+
+#: Entry texts the writer's layout may hold, some written only by hand: "-0" and
+#: "1e-400" read as zero, "1E5" as a float, 2**64 only into an object array.
+ENTRY_TEXTS = ["0"] * 8 + ["-0", "-0.0", "0.0", "1", "-1", "0.5", "-2.5e-07", "1E5", "1e-400",
+                           "5e-324", "-2.225073858507201e-308", "9007199254740993",
+                           "9223372036854775808", "18446744073709551616", "1e+300"]
+#: Texts that are not finite JSON numbers, each put in place of one entry.
+BAD_ENTRY_TEXTS = ["", "01", "00", "1.", ".5", "+1", "-", "1e5e5", "true", "NaN", "1e999",
+                   "1" * 5001]
+#: Floats the writer prints in every form it has: -0.0, subnormals, integral
+#: floats above 2**53, and ordinary ones.
+WRITER_VALUES = [-0.0, 5e-324, 2.5e-310, 2.0**53 + 2, 2.0**63, 2.0**64, 1e300, -1.5, 1e-5, 3.0]
+METAS = ["{}", '{"note": true}', '{"note": "false"}', '{"x": [1.5, null]}']
+
+
+def _matrix_text(rows) -> str:
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+
+
+def _layout_text(dims, re_rows, im_rows, meta: str) -> str:
+    """An operator file's text in the writer's layout, from the texts of its entries."""
+    return (f'{{"dims": {json.dumps(dims)}, "re": {_matrix_text(re_rows)}, '
+            f'"im": {_matrix_text(im_rows)}, "meta": {meta}}}\n')
+
+
+def _writer_text(data, tmp_path, dims, n) -> str:
+    """write_operator's text for a sparse Hermitian matrix of WRITER_VALUES."""
+    values = st.sampled_from([0.0] * 10 + WRITER_VALUES)
+    upper = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if data.draw(st.booleans()):
+        upper = upper + 1j * np.array(data.draw(st.lists(values, min_size=n * n,
+                                                         max_size=n * n))).reshape(n, n)
+    m = np.triu(upper, 1) + np.triu(upper, 1).conj().T + np.diag(upper.real.diagonal())
+    path = tmp_path / "writer.json"
+    write_operator(str(path), HermitianOp(TensorSpace(tuple(dims)), m),
+                   json.loads(data.draw(st.sampled_from(METAS))))
+    return path.read_text()
+
+
+def _mutated(data, text: str) -> str:
+    """text with one byte replaced, a space inserted, its end cut, or a key duplicated or added."""
+    kind = data.draw(st.sampled_from(["byte", "space", "cut", "key"]))
+    i = data.draw(st.integers(0, len(text) - 1))
+    if kind == "cut":
+        return text[:-data.draw(st.integers(1, 3))]
+    if kind == "byte":
+        return text[:i] + data.draw(st.sampled_from(list('01 ,[]"x}-e.\n'))) + text[i + 1:]
+    if kind == "space":
+        return text[:i] + " " + text[i:]
+    key = data.draw(st.sampled_from([', "meta": {}', ', "im": [[0]]', ', "x": 1']))
+    close = text.rindex("}")
+    return text[:close] + key + text[close:]
+
+
+def _read_by_json(path: str):
+    """The json.loads path's operator and meta for the file, or its error."""
+    try:
+        return serialize.operator_from_json_dict(*serialize._read_json(path))
+    except MalformedFileError as exc:
+        return exc
+
+
+def _assert_layout_agrees(path, text: str):
+    """The writer-layout reader gives json.loads's bits or None; read_operator is unchanged.
+
+    Returns what _writer_layout gave.
+    """
+    path.write_text(text)
+    layout = serialize._writer_layout(text)
+    if layout is not None:
+        doc, booleans = serialize._read_json(str(path))
+        dims, matrix, meta = layout
+        n = math.prod(dims)
+        parts = serialize._parts_array(doc["re"], doc["im"], (n, n), booleans)
+        assert dims == doc["dims"] and set(doc) == {"dims", "re", "im", "meta"}
+        assert matrix.real.tobytes() == parts.real.tobytes()
+        assert matrix.imag.tobytes() == parts.imag.tobytes()
+        assert json.dumps(meta) == json.dumps(doc["meta"])
+    expected = _read_by_json(str(path))
+    try:
+        op, meta = read_operator(str(path))
+    except MalformedFileError as exc:
+        assert isinstance(expected, MalformedFileError) and str(exc) == str(expected)
+    else:
+        assert not isinstance(expected, MalformedFileError), expected
+        assert op.matrix.tobytes() == expected[0].matrix.tobytes() and meta == expected[1]
+    return layout
+
+
+def _eye_2_text(re: str = "[[1, 0], [0, 1]]", tail: str = "}\n") -> str:
+    return f'{{"dims": [2], "re": {re}, "im": [[0, 0], [0, 0]], "meta": {{}}{tail}'
+
+
+#: Texts of the 2 x 2 identity, or of files that are not operators, that the
+#: writer-layout reader leaves to json.loads, each with what the error names.
+OUTSIDE_THE_LAYOUT = {
+    # the brackets and separators of a 2 x 2 matrix and four entries, one out of
+    # place: after "]" or ",", or before "[", or missing
+    "entry_after_bracket": (_eye_2_text("[[1, 0]5, [, 1]]"), "not valid JSON"),
+    "entry_after_comma": (_eye_2_text("[[1,5 , ], [0, 1]]"), "not valid JSON"),
+    "entry_before_bracket": (_eye_2_text("[[1, 0], 5[, 1]]"), "not valid JSON"),
+    "zero_before_bracket": (_eye_2_text("[[1, 0], 0[, 1]]"), "not valid JSON"),
+    "empty_entry": (_eye_2_text("[[1, ], [0, 1]]"), "not valid JSON"),
+    "infinite_entry": (_eye_2_text("[[1e999, 0], [0, 1]]"), "not finite numbers: Infinity"),
+    "integer_beyond_float": (_eye_2_text(f"[[{10**400}, 0], [0, 1]]"),
+                             "not finite numbers: int too large"),
+    # Python 3.11 caps int parsing at 4300 digits; earlier versions reach np.array
+    "integer_beyond_digit_limit": (_eye_2_text(f"[[{'1' * 5001}, 0], [0, 1]]"),
+                                   "not valid JSON|not finite numbers"),
+    "no_closing_brace": (_eye_2_text(tail="\n"), "not valid JSON"),
+    "trailing_key": (_eye_2_text(tail=', "x": 1}'), None),
+    "duplicate_meta": (_eye_2_text(tail=', "meta": {}}'), None),
+    "indented": (json.dumps(json.loads(_eye_2_text()), indent=1), None),
+}
+
+
+class TestWriterLayout:
+    """Operator files in the writer's layout are read without parsing their zero entries."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_same_bits_as_json_or_none(self, tmp_path, data):
+        dims = data.draw(st.sampled_from([[2], [3], [2, 2]]))
+        n = math.prod(dims)
+        source = data.draw(st.sampled_from(["write_operator", "json.dumps", "texts"]))
+        if source == "write_operator":
+            text = _writer_text(data, tmp_path, dims, n)
+        elif source == "json.dumps":
+            re, im = (_draw_part(data, None, n, False) for _ in range(2))
+            meta = json.loads(data.draw(st.sampled_from(METAS)))
+            text = json.dumps({"dims": dims, "re": re, "im": im, "meta": meta})
+        else:
+            entries = st.lists(st.lists(st.sampled_from(ENTRY_TEXTS), min_size=n, max_size=n),
+                               min_size=n, max_size=n)
+            re_rows, im_rows = data.draw(entries), data.draw(entries)
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            change = data.draw(st.sampled_from(["none", "bad entry", "dropped entry"]))
+            if change == "bad entry":
+                re_rows[i][j] = data.draw(st.sampled_from(BAD_ENTRY_TEXTS))
+            elif change == "dropped entry":
+                del re_rows[i][j]
+            text = _layout_text(dims, re_rows, im_rows, data.draw(st.sampled_from(METAS)))
+        mutate = data.draw(st.booleans())
+        if mutate:
+            text = _mutated(data, text)
+        layout = _assert_layout_agrees(tmp_path / "op.json", text)
+        if source == "write_operator" and not mutate:
+            assert layout is not None
+
+    @pytest.mark.parametrize("make", [
+        lambda: witness_dk(6, 2), lambda: ha_state(5, 0.5), lambda: projector_q(4),
+        lambda: HermitianOp(bipartite(3), random_hermitian(np.random.default_rng(3), 9)),
+    ], ids=["witness", "state", "projector", "complex"])
+    def test_writer_files_skip_json_loads(self, tmp_path, monkeypatch, make):
+        path = str(tmp_path / "op.json")
+        write_operator(path, make(), {"checked": True, "draft": False})
+        expected = _read_by_json(path)
+        monkeypatch.setattr(serialize, "_parse_json", None)  # a call would raise
+        got, meta = read_operator(path)
+        assert got.matrix.tobytes() == expected[0].matrix.tobytes()
+        assert meta == expected[1] == {"checked": True, "draft": False}
+
+    @pytest.mark.parametrize("text, error", list(OUTSIDE_THE_LAYOUT.values()),
+                             ids=list(OUTSIDE_THE_LAYOUT))
+    def test_text_outside_the_layout_is_read_by_json(self, tmp_path, text, error):
+        assert _assert_layout_agrees(tmp_path / "op.json", text) is None
+        if error is None:
+            assert np.array_equal(read_operator(str(tmp_path / "op.json"))[0].matrix, np.eye(2))
+        else:
+            with pytest.raises(MalformedFileError, match=error):
+                read_operator(str(tmp_path / "op.json"))
+
+    def test_header_claiming_a_huge_matrix_exits_3_at_once(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dims": [65536, 65536], "re": [[0]], "im": [[0]], "meta": {}}')
+        assert len(path.read_bytes()) <= 64
+        built = []
+        monkeypatch.setattr(serialize, "_zero_text", lambda n: built.append(n) or "")
+        assert serialize._writer_layout(path.read_text()) is None
+        assert main(["pair", str(path), str(path)]) == 3
+        assert not built
+        assert "do not match" in capsys.readouterr().err
 
 
 SWEEP_GRIDS = [
