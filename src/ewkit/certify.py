@@ -229,7 +229,9 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
         raise ValueError(f"expected a bipartite space, got {w.space.dims}")
     d1, d2 = w.space.dims
     w_norm = w.norm()
-    w4 = w.matrix.reshape(d1, d2, d1, d2)
+    # the product vectors are complex: cast W once, not in every step's products
+    m = np.asarray(w.matrix, dtype=complex)
+    w4 = m.reshape(d1, d2, d1, d2)
     # wy[(j, l), (i, k)] = W[i, j, k, l], wx[(i, k), (j, l)] likewise
     wy = w4.transpose(1, 3, 0, 2).reshape(d2 * d2, d1 * d1)
     wx = w4.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
@@ -239,7 +241,7 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
     ]
     xs = np.array([x for x, _ in starts])
     ys = np.array([y for _, y in starts])
-    last = _product_values(w.matrix, xs, ys)
+    last = _product_values(m, xs, ys)
     histories = [[v] for v in last.tolist()]
     active = np.arange(config.restarts)
     for _ in range(config.max_iters):
@@ -259,7 +261,7 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
     x, y = xs[best_restart], ys[best_restart]
     evidence = {
         "minimum": summary["minimum"],
-        "product_value": float(_product_values(w.matrix, x[None], y[None])[0]),
+        "product_value": float(_product_values(m, x[None], y[None])[0]),
         "cutoff": summary["cutoff"],
         "restarts": config.restarts,
         "max_iters": config.max_iters,

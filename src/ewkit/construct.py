@@ -19,6 +19,7 @@ from .core import (
     TensorSpace,
     _NotFiniteError,
     _hermiticity_bound,
+    _real_or_complex,
     _require_psd,
     bipartite,
     is_psd,
@@ -84,10 +85,11 @@ class LinearMapTable:
     def from_images(cls, d_in: int, d_out: int, images) -> "LinearMapTable":
         """The table with phi(e_ij) = images[i*d_in + j], gated as its Choi operator.
 
-        If the gate rejects, names the first (i, j) with phi(e_ij)^dag != phi(e_ji).
+        A real image stack gives a real Choi operator. If the gate rejects,
+        names the first (i, j) with phi(e_ij)^dag != phi(e_ji).
         """
         space = TensorSpace((d_in, d_out))
-        units = np.asarray(images, dtype=complex)
+        units = _real_or_complex(images)
         shape = (d_in**2, d_out, d_out)
         if units.shape != shape:
             raise ValueError(f"images must stack to shape {shape}, got {units.shape}")
@@ -129,7 +131,7 @@ def _comb_and_cyclic_diagonal(d: int, comb: float, base: np.ndarray) -> np.ndarr
     The layout shared by witness_dk and ha_state: e_i x e_m on the diagonal
     carries base[(m - i) mod d], so the comb's diagonal entries take base[0].
     """
-    m = np.zeros((d * d, d * d), dtype=complex)
+    m = np.zeros((d * d, d * d))
     ii = np.arange(d) * (d + 1)  # composite index of e_i x e_i
     m[ii[:, None], ii] = comb
     idx = np.arange(d * d)
@@ -158,7 +160,7 @@ def witness_dk(d: int, k: int) -> HermitianOp:
     k = d-1 the operator is completely copositive and detects no PPT state.
     """
     _validate_dk(d, k)
-    base = np.zeros(d, dtype=complex)
+    base = np.zeros(d)
     base[0], base[1 : k + 1] = d - k - 1, 1.0
     return HermitianOp(bipartite(d), _comb_and_cyclic_diagonal(d, -1.0, base))
 
@@ -180,7 +182,7 @@ def identity_map(d: int) -> LinearMapTable:
 
 def transpose_map(d: int) -> LinearMapTable:
     """Tabulated transposition map on M_d: the identity's images, each transposed."""
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    units = np.eye(d * d).reshape(d * d, d, d)
     return LinearMapTable.from_images(d, d, units.transpose(0, 2, 1))
 
 
@@ -203,14 +205,15 @@ def ha_state(d: int, gamma: float) -> HermitianOp:
     witness family for gamma >= 1.
     """
     a, b, n = _ha_weights(d, gamma)
-    base = np.ones(d, dtype=complex)
+    base = np.ones(d)
     base[1], base[d - 1] = a, b
-    return HermitianOp(bipartite(d), _comb_and_cyclic_diagonal(d, 1.0, base) / n)
+    # times 1/n, not / n: the bits the complex division by n + 0j gave
+    return HermitianOp(bipartite(d), _comb_and_cyclic_diagonal(d, 1.0, base) * (1.0 / n))
 
 
 def _cyclic_vector(d: int, offset: int) -> np.ndarray:
     """The unnormalized vector sum_i e_i x e_{i+offset mod d} on C^d x C^d."""
-    vec = np.zeros(d * d, dtype=complex)
+    vec = np.zeros(d * d)
     i = np.arange(d)
     vec[i * d + (i + offset) % d] = 1.0
     return vec
@@ -290,13 +293,13 @@ def witness_from_difference(q: HermitianOp, p: HermitianOp) -> HermitianOp:
 def maximally_mixed(space: TensorSpace) -> HermitianOp:
     """The unit-trace multiple of the identity (separable)."""
     n = space.total
-    return HermitianOp(space, np.eye(n, dtype=complex) / n)
+    return HermitianOp(space, np.eye(n) / n)
 
 
 def product_basis_state(space: TensorSpace, local_indices: list[int]) -> HermitianOp:
     """Projector onto a computational product basis vector (separable)."""
     idx = space.composite_index(local_indices)
-    m = np.zeros((space.total, space.total), dtype=complex)
+    m = np.zeros((space.total, space.total))
     m[idx, idx] = 1.0
     return HermitianOp(space, m)
 
@@ -313,7 +316,7 @@ def ghz_projector(num_parts: int = 3, d: int = 2) -> HermitianOp:
     if num_parts < 2:
         raise ValueError("need at least two factors")
     space = TensorSpace((d,) * num_parts)
-    vec = np.zeros(space.total, dtype=complex)
+    vec = np.zeros(space.total)
     vec[0] = 1.0 / np.sqrt(2.0)
     vec[-1] = 1.0 / np.sqrt(2.0)
     return HermitianOp(space, np.outer(vec, vec.conj()))

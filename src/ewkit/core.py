@@ -77,6 +77,12 @@ class _NotFiniteError(ValueError):
     """The gate's rejection of a non-finite matrix, or one whose (M + M^dag)/2 overflows."""
 
 
+def _real_or_complex(a) -> np.ndarray:
+    """a as a float64 array, or as complex128 when its dtype is complex: how operators are stored."""
+    a = np.asarray(a)
+    return np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+
+
 def _hermiticity_bound(m: np.ndarray) -> float:
     """HERMITICITY_RTOL * max|m|: the gate rejects m when max|M - M^dag| exceeds it."""
     return HERMITICITY_RTOL * float(np.abs(m).max())
@@ -89,6 +95,9 @@ class HermitianOp:
     The constructor symmetrizes M <- (M + M^dag)/2 when the deviation is
     within HERMITICITY_RTOL (relative to the largest entry) and rejects the
     matrix otherwise, so drift cannot accumulate through long pipelines.
+    The stored dtype follows the input's: float64 for a real input (every
+    operator the paper builds), complex128 for a complex one, whatever its
+    imaginary part holds; arithmetic mixing the two gives complex128.
     Instances are immutable; the stored array is read-only. They compare
     and hash by identity: compare matrices with np.array_equal.
     """
@@ -97,11 +106,11 @@ class HermitianOp:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)  # only read: the stored matrix is new
+        m = _real_or_complex(self.matrix)  # only read: the stored matrix is new
         n = self.space.total
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {n}")
-        h = m.conj().T
+        h = m.conj().T  # conj() of a real array is the array itself, not a copy
         # a non-finite m, or one whose m + h overflows, stores a non-finite
         # matrix; a NaN or inf bound never rejects, so the check below names it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -236,13 +245,15 @@ def is_psd(op: HermitianOp) -> tuple[bool, Spectrum]:
     """Positive-semidefiniteness verdict with the full spectrum as evidence.
 
     True iff the smallest eigenvalue is >= -Spectrum.psd_tolerance. A real
-    operator (every witness and state the paper builds) is solved in real
-    arithmetic, a complex one by the complex solver. Eigensolver failures
-    propagate as numpy.linalg.LinAlgError rather than being folded into a
-    False verdict.
+    operator (every witness and state the paper builds), or a complex one
+    whose imaginary part is all zero, is solved in real arithmetic; any
+    other by the complex solver. Eigensolver failures propagate as
+    numpy.linalg.LinAlgError rather than being folded into a False verdict.
     """
     m = op.matrix
-    spectrum = Spectrum(np.linalg.eigvalsh(m if m.imag.any() else m.real))
+    if np.iscomplexobj(m) and not m.imag.any():
+        m = m.real
+    spectrum = Spectrum(np.linalg.eigvalsh(m))
     return spectrum.min >= -spectrum.psd_tolerance, spectrum
 
 

@@ -235,6 +235,8 @@ def sweep(
     t0 + lambda tp + mu tq. The squared Frobenius norms the detection rule
     reads are quadratic forms in the same coefficients, of the Gram matrices
     of (W0, P, Q) and (R1, Ra, Rb); no operator is built per row or gamma.
+    Each (lambda, mu) row's coefficients are scaled by max(1, |lambda|, |mu|)
+    before the form is taken, so ||W||_F overflows only beyond the float range.
     The nine traces are sums of small integers, hence exact, so every gamma =
     1 row at lambda = mu = 0 is exactly 0.0. Raises ValueError naming the
     first gamma that is not finite and > 0, and FloatingPointError where
@@ -253,8 +255,11 @@ def sweep(
     mu = np.array(mu_grid, dtype=float)  # (M,)
     # the per-point float operations, in the order the scalar sum takes them
     trace = (t0 + lam * tp) + mu * tq
-    w_coef = np.stack(np.broadcast_arrays(1.0, lam, mu), axis=-1)  # (L, M, 3)
-    w_norm = np.sqrt(np.einsum("lmx,xy,lmy->lm", w_coef, gram[:3, :3], w_coef))
+    # c ||W / c||_F with c = max(1, |lambda|, |mu|) per row, so no square overflows;
+    # at c = 1 both the division and the product are exact
+    c = np.maximum(1.0, np.maximum(np.abs(lam), np.abs(mu)))  # (L, M)
+    w_coef = np.stack(np.broadcast_arrays(1.0, lam, mu), axis=-1) / c[..., None]  # (L, M, 3)
+    w_norm = c * np.sqrt(np.einsum("lmx,xy,lmy->lm", w_coef, gram[:3, :3], w_coef))
     rho_norm = np.sqrt(np.einsum("gx,xy,gy->g", rho_coef, gram[3:, 3:], rho_coef))
     detected = trace < detection_threshold(w_norm, rho_norm[:, None, None])
     for column in (trace, detected):

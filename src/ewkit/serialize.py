@@ -5,9 +5,10 @@ write-then-read cycle reproduces every operator bit-exactly; integral
 entries of magnitude up to 2**53 (all the unnormalized witnesses) are
 written as JSON integers. Only the nonzero entries of a real or imaginary
 part (a map table's images as one stack) are converted and encoded; the
-zeros are written as "0" with no per-entry conversion. An operator or map
-table is encoded before its file is opened, so a failed write leaves the
-file as it was.
+zeros are written as "0" with no per-entry conversion, and the im part of a
+real (float64) operator or table is written as zeros with no pass over it.
+An operator or map table is encoded before its file is opened, so a failed
+write leaves the file as it was.
 
 On reading, every re/im entry must be a finite JSON number. A file's text is
 read once. An operator file in the writer's own layout (what write_operator
@@ -24,7 +25,9 @@ dtype-less np.array, which leaves only one kind of bad entry unseen: a true
 or false among numbers. So a document whose text holds neither literal is
 accepted when both parts come out as finite int or float arrays of the
 right shape; every other document goes through the per-entry type scan,
-which gives each rejection its message.
+which gives each rejection its message. Parts whose im is all zero are read
+as a float64 matrix (an im entry -0.0 loses its sign, as the writer prints
+it 0), any others as complex128, as HermitianOp stores them.
 """
 
 from __future__ import annotations
@@ -103,6 +106,13 @@ def _json_texts(a: np.ndarray) -> list[str]:
     return cells
 
 
+def _im_texts(a: np.ndarray) -> list[str]:
+    """_json_texts(a.imag) for a stack a of n x n matrices; a real stack's are _zero_text(n)."""
+    if np.iscomplexobj(a):
+        return _json_texts(a.imag)
+    return [_zero_text(a.shape[-1])] * len(a)
+
+
 _JSON_NUMBERS = {int, float}  # bool is an int subclass, but type(True) is bool
 
 
@@ -131,11 +141,17 @@ def _numeric_array(re: Any, im: Any, shape: tuple[int, ...]) -> np.ndarray:
     bad = {json.dumps(v) for arr in (re_arr, im_arr) for v in arr[~np.isfinite(arr)].tolist()}
     if bad:
         raise MalformedFileError(f"re/im are not finite numbers: {', '.join(sorted(bad))} entries")
-    return _complex(re_arr, im_arr)
+    return _matrix(re_arr, im_arr)
 
 
-def _complex(re_arr: np.ndarray, im_arr: np.ndarray) -> np.ndarray:
-    """re_arr + 1j*im_arr built in place, keeping every bit of both parts (-0.0 too)."""
+def _matrix(re_arr: np.ndarray, im_arr: np.ndarray) -> np.ndarray:
+    """re_arr as float64 when im_arr is all zero, else re_arr + 1j*im_arr built in place.
+
+    The complex array keeps every bit of both parts; a real one drops only
+    the sign of an all-zero im part's -0.0 entries, which the writer prints as 0.
+    """
+    if not im_arr.any():
+        return np.asarray(re_arr, dtype=float)
     m = np.empty(re_arr.shape, dtype=complex)
     m.real, m.imag = re_arr, im_arr
     return m
@@ -157,7 +173,7 @@ def _parts_array(re: Any, im: Any, shape: tuple[int, ...], booleans: bool) -> np
             parts = ()
         if parts and all(arr.dtype.kind in "iuf" and arr.shape == shape
                          and np.isfinite(arr).all() for arr in parts):
-            return _complex(*parts)
+            return _matrix(*parts)
     return _numeric_array(re, im, shape)
 
 
@@ -258,7 +274,7 @@ def _writer_matrix(text: str, start: int, n: int, zeros: str) -> tuple[np.ndarra
 
 
 def _writer_layout(text: str) -> tuple[list[int], np.ndarray, Any] | None:
-    """(dims, re + 1j*im, meta) of an operator file's text in the writer's layout, else None.
+    """(dims, _matrix(re, im), meta) of an operator file's text in the writer's layout, else None.
 
     Any text this returns parts of is a document that json.loads and
     _parts_array read to the same dims, the same bits of re and im, and the
@@ -285,7 +301,7 @@ def _writer_layout(text: str) -> tuple[list[int], np.ndarray, Any] | None:
         return None
     if text[end:end + 1] != "}" or text[end + 1:].strip(" \t\n\r"):
         return None
-    return dims, _complex(*parts), meta
+    return dims, _matrix(*parts), meta
 
 
 def write_operator(path: str, op: HermitianOp, meta: dict | None = None) -> None:
@@ -298,7 +314,7 @@ def write_operator(path: str, op: HermitianOp, meta: dict | None = None) -> None
         raise ValueError("meta must be a JSON object")
     dims = json.dumps(list(op.space.dims))
     meta_text = json.dumps(meta or {}, allow_nan=False)
-    (re,), (im,) = _json_texts(op.matrix.real[None]), _json_texts(op.matrix.imag[None])
+    (re,), (im,) = _json_texts(op.matrix.real[None]), _im_texts(op.matrix[None])
     _write_text(path, f'{{"dims": {dims}, "re": {re}, "im": {im}, "meta": {meta_text}}}\n')
 
 
@@ -352,7 +368,8 @@ def write_map_table(path: str, table: LinearMapTable) -> None:
     """
     d_in, d_out = table.d_in, table.d_out
     blocks = table._blocks().transpose(0, 2, 1, 3)  # [i, j] = phi(e_ij)
-    res, ims = (_json_texts(part.reshape(-1, d_out, d_out)) for part in (blocks.real, blocks.imag))
+    stack = blocks.reshape(-1, d_out, d_out)
+    res, ims = _json_texts(stack.real), _im_texts(stack)
     images = ", ".join(f'{{"re": {re}, "im": {im}}}' for re, im in zip(res, ims))
     _write_text(path, f'{{"d_in": {d_in}, "d_out": {d_out}, "images": [{images}]}}\n')
 

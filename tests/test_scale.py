@@ -131,6 +131,17 @@ class TestRepros:
     def test_detection_kept_at_huge_scale(self):
         assert certify_detection(1e160 * witness_dk(3, 1), ha_state(3, 0.5)).verdict
 
+    def test_sweep_detects_at_huge_mu(self):
+        # the Gram form of (1, lambda, mu) overflowed ||W||_F to inf, the threshold to -inf
+        table = sweep(3, 1, [0.5], [0.0], [-1e200])
+        assert table.trace[0, 0, 0] == pytest.approx(-2e199, rel=1e-12)
+        assert table.detected[0, 0, 0]
+
+    def test_sweep_does_not_detect_at_huge_lambda(self):
+        table = sweep(3, 1, [0.5], [1e200], [0.0])
+        assert table.trace[0, 0, 0] > 0
+        assert not table.detected[0, 0, 0]
+
     def test_norm_keeps_its_digits_at_tiny_scale(self):
         norm = (1e-160 * witness_dk(3, 1)).norm()
         assert norm == pytest.approx(1e-160 * math.sqrt(12), rel=1e-15, abs=0)

@@ -497,9 +497,13 @@ class TestReaderSkipsTheTypeScan:
             assert str(info.value) == str(exc)
         else:
             got = serialize._parts_array(doc["re"], doc["im"], shape, booleans)
-            assert got.dtype == complex
+            # float64 exactly when im is all zero (a -0.0 there loses its sign)
+            assert got.dtype == (complex if expected[1].any() else float)
             assert got.real.tobytes() == expected[0].tobytes()
-            assert got.imag.tobytes() == expected[1].tobytes()
+            if got.dtype == complex:
+                assert got.imag.tobytes() == expected[1].tobytes()
+            else:
+                assert not expected[1].any()
 
     def test_type_scan_runs_only_for_a_text_with_true_or_false(self, tmp_path, monkeypatch):
         # an indented file is not in the writer's layout, so json.loads reads it
