@@ -78,9 +78,13 @@ class _NotFiniteError(ValueError):
 
 
 def _real_or_complex(a) -> np.ndarray:
-    """a as a float64 array, or as complex128 when its dtype is complex: how operators are stored."""
+    """a as a float64 array when its dtype is bool, integer or real, else as complex128.
+
+    This is how operators are stored. Any other dtype (complex, or object
+    holding Python numbers) takes the complex128 cast.
+    """
     a = np.asarray(a)
-    return np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    return np.asarray(a, dtype=float if a.dtype.kind in "biuf" else complex)
 
 
 def _hermiticity_bound(m: np.ndarray) -> float:

@@ -12,6 +12,7 @@ import pytest
 from ewkit import (
     HermitianOp,
     ScanConfig,
+    TensorSpace,
     bipartite,
     blockpos_scan,
     choi_map,
@@ -19,7 +20,6 @@ from ewkit import (
     ghz_projector,
     ha_state,
     identity_map,
-    is_psd,
     maximally_mixed,
     partial_transpose,
     perturbed_witness,
@@ -61,10 +61,18 @@ def test_builders_store_float64(build):
 
 
 @pytest.mark.parametrize("dtype, stored", [(np.int64, float), (np.float32, float), (bool, float),
-                                           (np.complex64, complex), (complex, complex)])
+                                           (np.complex64, complex), (complex, complex),
+                                           (object, complex)])
 def test_stored_dtype_follows_the_input_dtype_not_its_values(dtype, stored):
     # np.eye has a zero imaginary part: a complex input stays complex all the same
     assert HermitianOp(bipartite(2), np.eye(4, dtype=dtype)).matrix.dtype == stored
+
+
+def test_object_array_of_python_complex_values_is_stored_complex():
+    m = np.array([[1, 2j], [-2j, 3]], dtype=object)
+    op = HermitianOp(TensorSpace((2,)), m)
+    assert op.matrix.dtype == complex
+    assert np.array_equal(op.matrix, m.astype(complex))
 
 
 def test_writer_file_with_zero_im_reads_back_float64(tmp_path):
@@ -139,11 +147,6 @@ class TestComplexKeepsComplexPath:
         pt = partial_transpose(op, (False, True))
         assert pt.matrix.dtype == complex
         assert pt.matrix.tobytes() == _symmetrized(moved).tobytes()
-
-    def test_is_psd(self, d):
-        op = _complex_op(d)
-        _, spectrum = is_psd(op)
-        assert spectrum.eigenvalues.tobytes() == np.linalg.eigvalsh(op.matrix).tobytes()
 
     def test_trace_pair(self, d):
         w, rho = _complex_op(d, 1), _complex_op(d, 2)
