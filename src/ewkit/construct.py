@@ -114,8 +114,12 @@ class LinearMapTable:
         return self._blocks()[i, :, j, :]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the map on an arbitrary d_in x d_in matrix by linearity."""
-        x = np.asarray(x, dtype=complex)
+        """Evaluate the map on an arbitrary d_in x d_in matrix by linearity.
+
+        The result is float64 when the table and x are real, as operators are
+        stored, and complex128 otherwise.
+        """
+        x = _real_or_complex(x)
         if x.shape != (self.d_in, self.d_in):
             raise ValueError(f"argument shape {x.shape} != ({self.d_in}, {self.d_in})")
         return np.tensordot(x, self._blocks(), axes=([0, 1], [0, 2]))

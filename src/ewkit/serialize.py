@@ -11,23 +11,25 @@ An operator or map table is encoded before its file is opened, so a failed
 write leaves the file as it was.
 
 On reading, every re/im entry must be a finite JSON number. A file's text is
-read once. An operator file in the writer's own layout (what write_operator
-and json.dumps write: {"dims", "re", "im", "meta"} with ", " and "], ["
-between entries and rows) is read without parsing its zeros: an all-zero
-part is recognised by one string comparison, and otherwise numpy checks the
-part's bytes against the brackets and separators of an n x n matrix and
-hands only the entries other than "0" to one json.loads. Every other text,
-and every map table, is parsed by json.loads; a file that is not UTF-8, not
-JSON or nested too deeply to parse is malformed. The layout check raises
-nothing: a text it does not take goes to json.loads, so each error has one
-message. The re and im parts of a parsed document are converted by a
-dtype-less np.array, which leaves only one kind of bad entry unseen: a true
-or false among numbers. So a document whose text holds neither literal is
-accepted when both parts come out as finite int or float arrays of the
-right shape; every other document goes through the per-entry type scan,
-which gives each rejection its message. Parts whose im is all zero are read
-as a float64 matrix (an im entry -0.0 loses its sign, as the writer prints
-it 0), any others as complex128, as HermitianOp stores them.
+read once. An operator file or map table in the writer's own layout (what
+write_operator, write_map_table and json.dumps write: {"dims", "re", "im",
+"meta"} or {"d_in", "d_out", "images": [{"re", "im"}, ...]}, with ", " and
+"], [" between entries and rows) is read without parsing its zeros: an
+all-zero part is recognised by one string comparison, and the other re (or
+im) parts are scanned as one stack: numpy checks their bytes against the
+brackets and separators of that many n x n matrices and hands only the
+entries other than "0" to one json.loads. Every other text is parsed by
+json.loads; a file that is not UTF-8, not JSON or nested too deeply to
+parse is malformed. The layout check raises nothing: a text it does not
+take goes to json.loads, so each error has one message. The re and im
+parts of a parsed document are converted by a dtype-less np.array, which
+leaves only one kind of bad entry unseen: a true or false among numbers. So
+a document whose text holds neither literal is accepted when both parts
+come out as finite int or float arrays of the right shape; every other
+document goes through the per-entry type scan, which gives each rejection
+its message. Parts whose im is all zero are read as a float64 matrix (an
+im entry -0.0 loses its sign, as the writer prints it 0), any others as
+complex128, as HermitianOp stores them.
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ def _parse_json(path: str, text: str) -> tuple[Any, bool]:
     except RecursionError as exc:
         raise MalformedFileError(f"{path}: JSON nested too deeply to parse") from exc
     return doc, "true" in text or "false" in text
-
-
-def _read_json(path: str) -> tuple[Any, bool]:
-    return _parse_json(path, _read_text(path))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -210,9 +208,13 @@ def operator_from_json_dict(doc: Any, booleans: bool = True) -> tuple[HermitianO
     return _operator(space, _parts_array(doc["re"], doc["im"], (n, n), booleans), doc.get("meta"))
 
 
-# The writer's layout, {"dims": [..], "re": P, "im": P, "meta": M} with P an n x n
-# matrix in json.dumps's separators, read without parsing every zero entry.
+# The writer's layouts, read without parsing every zero entry: an operator file
+# {"dims": [..], "re": P, "im": P, "meta": M} and a map table
+# {"d_in": D, "d_out": E, "images": [{"re": P, "im": P}, ...]}, each P a matrix in
+# json.dumps's separators.
 _WRITER_HEAD = re.compile(r'\{"dims": \[([1-9][0-9]{0,8}(?:, [1-9][0-9]{0,8})*)\], "re": ')
+_MAP_HEAD = re.compile(r'\{"d_in": ([1-9][0-9]{0,8}), "d_out": ([1-9][0-9]{0,8}), '
+                       r'"images": \[\{"re": ')
 _NUMBER_BYTES = b"0123456789+-.eE"  # the bytes a JSON number is written with
 _NUMBER_FLAGS = bytes(int(i in _NUMBER_BYTES) for i in range(256))  # bytes.translate table
 
@@ -222,55 +224,104 @@ def _zero_text(n: int) -> str:
     return "[" + ", ".join(["[" + ", ".join("0" * n) + "]"] * n) + "]"
 
 
-def _writer_matrix(text: str, start: int, n: int, zeros: str) -> tuple[np.ndarray, int] | None:
-    """The n * n entries of the matrix written at text[start:], and where it ends.
+def _writer_parts(text: str, start: int, n: int,
+                  keys: list[str]) -> tuple[list[str | None], int] | None:
+    """The texts of the n x n matrices written at text[start:], one before each key.
 
-    zeros is _zero_text(n); a matrix with that text is all zero. Any other
-    matrix gives None unless its non-number bytes are exactly the brackets
-    and separators of an n x n matrix, it holds n * n entries, each between
-    "[" or " " and "," or "]", and its entries other than "0" come out of
-    one json.loads as a finite int or float array.
+    Returns them with where the last key ends, or None when a key is not
+    where a matrix ends. An all-zero matrix, one whose text is
+    _zero_text(n), is recognised by one string comparison and given as None.
     """
-    if text.startswith(zeros, start):
-        return np.zeros(n * n), start + len(zeros)
-    # the shortest n x n matrix is as long as zeros; a shorter one is not in the layout
-    end = text.find("]]", start + len(zeros) - 2) + 2
-    part = text[start:end]
-    if end < 2 or not part.isascii():
+    zeros, parts = _zero_text(n), []
+    for key in keys:
+        if text.startswith(zeros, start):
+            end = start + len(zeros)
+            parts.append(None)
+        else:
+            # the shortest n x n matrix is as long as zeros; a shorter one is not in the layout
+            end = text.find("]]", start + len(zeros) - 2) + 2
+            if end < 2:
+                return None
+            parts.append(text[start:end])
+        if not text.startswith(key, end):
+            return None
+        start = end + len(key)
+    return parts, start
+
+
+def _writer_matrices(parts: list[str | None], n: int) -> np.ndarray | None:
+    """The entries of the n x n matrices written as parts, one matrix after another, else None.
+
+    A part None is all zero. The others are scanned as one stack, which
+    gives None unless its non-number bytes are exactly the brackets and
+    separators of that many n x n matrices, it holds n * n entries per
+    matrix, each between "[" or " " and "," or "]", and its entries other
+    than "0" come out of one json.loads as a finite int or float array.
+    """
+    which = [k for k, part in enumerate(parts) if part is not None]
+    if not which:
+        return np.zeros(len(parts) * n * n)
+    raw = "".join([parts[k] for k in which])
+    if not raw.isascii():
         return None
-    raw = part.encode("ascii")
-    if raw.translate(None, _NUMBER_BYTES) != b"[[" + b"], [".join([b", " * (n - 1)] * n) + b"]]":
+    raw = raw.encode("ascii")
+    skeleton = b"[[" + b"], [".join([b", " * (n - 1)] * n) + b"]]"
+    if raw[:1] + raw[-1:] != b"[]" or raw.translate(None, _NUMBER_BYTES) != skeleton * len(which):
         return None
     b = np.frombuffer(raw, dtype=np.uint8)
     number = np.frombuffer(raw.translate(_NUMBER_FLAGS), dtype=bool)
     # over bytes 1 .. len - 2 (byte 0 is "[", the last "]"): where entries start and end
     first, last = number[1:-1] & ~number[:-2], number[1:-1] & ~number[2:]
     closer = (b == ord(",")) | (b == ord("]"))
-    if (np.count_nonzero(first) != n * n or (first & closer[:-2]).any()
+    if (np.count_nonzero(first) != len(which) * n * n or (first & closer[:-2]).any()
             or (last & ~closer[2:]).any()):
         return None
     del closer
     zero = first & last & (b[1:-1] == ord("0"))
     first &= ~zero
     last &= ~zero
-    # an entry's index counts the entries before it: the others, then the "0" ones
-    heads = np.flatnonzero(first)
-    index = np.arange(heads.size) + np.searchsorted(np.flatnonzero(zero), heads)
     # the other entries' bytes, each followed by its closer: "1,-0.5]2,"
     keep = np.zeros(len(raw), dtype=bool)
     keep[1:-1] = number[1:-1] & ~zero
     keep[2:] |= last
     kept = b[keep].tobytes()
+    heads, tails = np.flatnonzero(first), np.flatnonzero(last)
     del b, number, first, last, zero, keep
+    # Entry k = a n + c (0 <= c < n) of the stack begins after 2k + 2a + 2
+    # skeleton bytes, one byte of each earlier entry, and the bytes beyond the
+    # first of the earlier other entries. An other entry that ends at byte
+    # tails + 1 thus has q = 3k + 2a = tails - 1 - (its own bytes beyond the
+    # first and those of the other entries before it); as 3c < 3n + 2,
+    # a = q // (3n + 2) and k = (q - 2a) / 3.
+    q = tails - 1 - np.cumsum(tails - heads)
+    index = (q - q // (3 * n + 2) * 2) // 3
+    del heads, tails, q
     try:
         values = np.array(json.loads(b"[" + kept[:-1].replace(b"]", b",") + b"]"))
     except (ValueError, OverflowError):  # not JSON numbers, or an integer out of range
         return None
     if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
         return None
-    entries = np.zeros(n * n)
+    if which[-1] >= len(which):  # index counts the scanned matrices' entries only
+        index += (np.array(which) - np.arange(len(which)))[index // (n * n)] * (n * n)
+    entries = np.zeros(len(parts) * n * n)
     entries[index] = values
-    return entries, end
+    return entries
+
+
+def _writer_stacks(parts: list[str | None], shape: tuple[int, ...]) -> np.ndarray | None:
+    """_matrix(re, im) of the parts re, im, re, im, ..., as stacks of the given shape; else None.
+
+    When every im part is all zero, the result is the float64 re stack, and
+    no im stack is built.
+    """
+    re = _writer_matrices(parts[0::2], shape[-1])
+    if re is None:
+        return None
+    if not any(parts[1::2]):
+        return re.reshape(shape)
+    im = _writer_matrices(parts[1::2], shape[-1])
+    return None if im is None else _matrix(re.reshape(shape), im.reshape(shape))
 
 
 def _writer_layout(text: str) -> tuple[list[int], np.ndarray, Any] | None:
@@ -287,21 +338,40 @@ def _writer_layout(text: str) -> tuple[list[int], np.ndarray, Any] | None:
     n = math.prod(dims)
     if len(text) < 2 * (3 * n * n + 2 * n):  # too short for two n x n matrices
         return None
-    zeros, parts, start = _zero_text(n), [], head.end()
-    for key in (', "im": ', ', "meta": '):
-        found = _writer_matrix(text, start, n, zeros)
-        if found is None or not text.startswith(key, found[1]):
-            return None
-        entries, end = found
-        parts.append(entries.reshape(n, n))
-        start = end + len(key)
+    found = _writer_parts(text, head.end(), n, [', "im": ', ', "meta": '])
+    matrix = None if found is None else _writer_stacks(found[0], (n, n))
+    if matrix is None:
+        return None
     try:
-        meta, end = json.JSONDecoder().raw_decode(text, start)
+        meta, end = json.JSONDecoder().raw_decode(text, found[1])
     except (ValueError, RecursionError):
         return None
     if text[end:end + 1] != "}" or text[end + 1:].strip(" \t\n\r"):
         return None
-    return dims, _matrix(*parts), meta
+    return dims, matrix, meta
+
+
+def _writer_map_layout(text: str) -> tuple[int, int, np.ndarray] | None:
+    """(d_in, d_out, images) of a map table's text in the writer's layout, else None.
+
+    Any text this returns images of is a document that json.loads and
+    map_table_from_json_dict read to the same d_in, d_out and bits of the
+    image stack; like _writer_layout, it raises nothing.
+    """
+    head = _MAP_HEAD.match(text)
+    if head is None:
+        return None
+    d_in, d_out = int(head.group(1)), int(head.group(2))
+    count = d_in * d_in
+    if len(text) < 2 * count * (3 * d_out * d_out + 2 * d_out):  # too short for the images
+        return None
+    keys = [', "im": ', '}, {"re": '] * count
+    keys[-1] = "}]}"
+    found = _writer_parts(text, head.end(), d_out, keys)
+    if found is None or text[found[1]:].strip(" \t\n\r"):
+        return None
+    images = _writer_stacks(found[0], (count, d_out, d_out))
+    return None if images is None else (d_in, d_out, images)
 
 
 def write_operator(path: str, op: HermitianOp, meta: dict | None = None) -> None:
@@ -352,9 +422,16 @@ def map_table_from_json_dict(doc: Any, booleans: bool = True) -> LinearMapTable:
                               [entry["im"] for entry in raw_images], shape, booleans)
     else:  # d_in = 0: no entries to check; LinearMapTable rejects the dims
         images = np.zeros(shape, dtype=complex)
-    # a Hermiticity-preservation violation is an invalid map, not a malformed
-    # file; let LinearMapTable's ValueError propagate. A Choi matrix that is
-    # not finite fails as the operator file of that matrix fails.
+    return _map_table(d_in, d_out, images)
+
+
+def _map_table(d_in: int, d_out: int, images: np.ndarray) -> LinearMapTable:
+    """The gated table of a document's images.
+
+    A Hermiticity-preservation violation is an invalid map, not a malformed
+    file, so LinearMapTable's ValueError propagates. A Choi matrix that is
+    not finite fails as the operator file of that matrix fails.
+    """
     try:
         return LinearMapTable.from_images(d_in, d_out, images)
     except _NotFiniteError as exc:
@@ -375,7 +452,12 @@ def write_map_table(path: str, table: LinearMapTable) -> None:
 
 
 def read_map_table(path: str) -> LinearMapTable:
-    return map_table_from_json_dict(*_read_json(path))
+    text = _read_text(path)
+    layout = _writer_map_layout(text)
+    if layout is None:
+        return map_table_from_json_dict(*_parse_json(path, text))
+    del text  # not held through the gate's copies
+    return _map_table(*layout)
 
 
 def certificate_to_json_dict(cert: Certificate) -> dict:

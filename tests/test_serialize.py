@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ewkit import (
     HermitianOp,
+    LinearMapTable,
     MalformedFileError,
     ScanConfig,
     TensorSpace,
@@ -20,6 +21,7 @@ from ewkit import (
     choi_map,
     dejamiolkowski,
     ha_state,
+    identity_map,
     jamiolkowski,
     perturbed_witness,
     projector_p,
@@ -146,6 +148,11 @@ UNREADABLE_FILES = {
 def _write_doc(path, doc) -> str:
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _json_doc(path: str):
+    """The json.loads path's document of the file, and whether its text holds true or false."""
+    return serialize._parse_json(path, serialize._read_text(path))
 
 
 def _accepts(read, path: str) -> bool:
@@ -487,7 +494,7 @@ class TestReaderSkipsTheTypeScan:
         text = json.dumps({"dims": [n], "re": re, "im": im, "meta": meta})
         path = tmp_path / "parts.json"
         path.write_text(text.replace('"@1e999"', "1e999"))
-        doc, booleans = serialize._read_json(str(path))
+        doc, booleans = _json_doc(str(path))
         shape = (n, n) if count is None else (count, n, n)
         try:
             expected = numeric_parts_per_entry(doc["re"], doc["im"], shape)
@@ -560,16 +567,22 @@ def _layout_text(dims, re_rows, im_rows, meta: str) -> str:
             f'"im": {_matrix_text(im_rows)}, "meta": {meta}}}\n')
 
 
-def _writer_text(data, tmp_path, dims, n) -> str:
-    """write_operator's text for a sparse Hermitian matrix of WRITER_VALUES."""
+def _drawn_operator(data, dims) -> HermitianOp:
+    """A sparse Hermitian operator on dims of WRITER_VALUES, real or complex."""
+    n = math.prod(dims)
     values = st.sampled_from([0.0] * 10 + WRITER_VALUES)
     upper = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
     if data.draw(st.booleans()):
         upper = upper + 1j * np.array(data.draw(st.lists(values, min_size=n * n,
                                                          max_size=n * n))).reshape(n, n)
     m = np.triu(upper, 1) + np.triu(upper, 1).conj().T + np.diag(upper.real.diagonal())
+    return HermitianOp(TensorSpace(tuple(dims)), m)
+
+
+def _writer_text(data, tmp_path, dims, n) -> str:
+    """write_operator's text for a sparse Hermitian matrix of WRITER_VALUES."""
     path = tmp_path / "writer.json"
-    write_operator(str(path), HermitianOp(TensorSpace(tuple(dims)), m),
+    write_operator(str(path), _drawn_operator(data, dims),
                    json.loads(data.draw(st.sampled_from(METAS))))
     return path.read_text()
 
@@ -592,7 +605,7 @@ def _mutated(data, text: str) -> str:
 def _read_by_json(path: str):
     """The json.loads path's operator and meta for the file, or its error."""
     try:
-        return serialize.operator_from_json_dict(*serialize._read_json(path))
+        return serialize.operator_from_json_dict(*_json_doc(path))
     except MalformedFileError as exc:
         return exc
 
@@ -605,7 +618,7 @@ def _assert_layout_agrees(path, text: str):
     path.write_text(text)
     layout = serialize._writer_layout(text)
     if layout is not None:
-        doc, booleans = serialize._read_json(str(path))
+        doc, booleans = _json_doc(str(path))
         dims, matrix, meta = layout
         n = math.prod(dims)
         parts = serialize._parts_array(doc["re"], doc["im"], (n, n), booleans)
@@ -644,6 +657,10 @@ OUTSIDE_THE_LAYOUT = {
     # Python 3.11 caps int parsing at 4300 digits; earlier versions reach np.array
     "integer_beyond_digit_limit": (_eye_2_text(f"[[{'1' * 5001}, 0], [0, 1]]"),
                                    "not valid JSON|not finite numbers"),
+    # a number before a part's "[[": its brackets, separators and entries are in place
+    "number_before_re": (_eye_2_text("5[[1, 0], [0, 1]]"), "not valid JSON"),
+    "number_before_im": (_eye_2_text(tail="}\n").replace('"im": [[', '"im": 7[['),
+                         "not valid JSON"),
     "no_closing_brace": (_eye_2_text(tail="\n"), "not valid JSON"),
     "trailing_key": (_eye_2_text(tail=', "x": 1}'), None),
     "duplicate_meta": (_eye_2_text(tail=', "meta": {}}'), None),
@@ -718,6 +735,166 @@ class TestWriterLayout:
         assert main(["pair", str(path), str(path)]) == 3
         assert not built
         assert "do not match" in capsys.readouterr().err
+
+
+def _map_text(d_in: int, d_out: int, images: list, mutation: str | None = None, k: int = 0,
+              bad: str = "01") -> str:
+    """A map table's text in the writer's layout, with a mutation made at image k.
+
+    images is a list of (re rows, im rows) of entry texts; "bad entry" puts
+    bad in place of entry [0][-1] of image k's re, "dropped entry" drops it.
+    """
+    images = [([row[:] for row in re], [row[:] for row in im]) for re, im in images]
+    if mutation == "bad entry":
+        images[k][0][0][-1] = bad
+    elif mutation == "dropped entry":
+        del images[k][0][0][-1]
+    parts = [[_matrix_text(rows) for rows in image] for image in images]
+    texts = [f'{{"re": {re}, "im": {im}}}' for re, im in parts]
+    re, im = parts[k]
+    texts[k] = {"swapped re and im": f'{{"im": {re}, "re": {im}}}', "no im": f'{{"re": {re}}}',
+                "number before re": f'{{"re": 5{re}, "im": {im}}}',
+                "duplicate re": f'{{"re": {re}, "re": {re}, "im": {im}}}',
+                "duplicate im": f'{{"re": {re}, "im": {im}, "im": {im}}}'}.get(mutation, texts[k])
+    if mutation == "extra image":
+        texts.insert(k, texts[k])
+    elif mutation == "missing image":
+        del texts[k]
+    tail = {"trailing key": ', "x": 1}\n', "trailing text": "}}\n"}.get(mutation, "}\n")
+    text = (f'{{"d_in": {d_in + (mutation == "d_in")}, "d_out": {d_out}, '
+            f'"images": [{", ".join(texts)}]{tail}')
+    return json.dumps(json.loads(text), indent=1) if mutation == "indented" else text
+
+
+def _entry_rows(part: list) -> list:
+    return [[json.dumps(v) for v in row] for row in part]
+
+
+#: Changes to a map table file in the writer's layout; each leaves it out of the layout.
+MAP_MUTATIONS = ["bad entry", "dropped entry", "number before re", "swapped re and im", "no im",
+                 "duplicate re", "duplicate im", "extra image", "missing image", "d_in",
+                 "trailing key", "trailing text", "indented"]
+
+
+def _read_map_by_json(path: str):
+    """The json.loads path's map table for the file, or its error."""
+    try:
+        return serialize.map_table_from_json_dict(*_json_doc(path))
+    except ValueError as exc:  # a malformed file, or not a Hermiticity-preserving map
+        return exc
+
+
+def _assert_map_layout_agrees(path, text: str):
+    """The writer's map layout gives json.loads's bits or None; read_map_table is unchanged.
+
+    Returns what _writer_map_layout gave.
+    """
+    path.write_text(text)
+    layout = serialize._writer_map_layout(text)
+    if layout is not None:
+        doc, booleans = _json_doc(str(path))
+        d_in, d_out, images = layout
+        assert set(doc) == {"d_in", "d_out", "images"} and (d_in, d_out) == (doc["d_in"],
+                                                                             doc["d_out"])
+        assert all(set(image) == {"re", "im"} for image in doc["images"])
+        expected = serialize._parts_array([image["re"] for image in doc["images"]],
+                                          [image["im"] for image in doc["images"]],
+                                          (d_in * d_in, d_out, d_out), booleans)
+        assert images.dtype == expected.dtype and images.tobytes() == expected.tobytes()
+    expected = _read_map_by_json(str(path))
+    try:
+        table = read_map_table(str(path))
+    except ValueError as exc:
+        assert type(exc) is type(expected) and str(exc) == str(expected)
+    else:
+        assert not isinstance(expected, ValueError), expected
+        assert table.choi.matrix.dtype == expected.choi.matrix.dtype
+        assert table.choi.matrix.tobytes() == expected.choi.matrix.tobytes()
+    return layout
+
+
+#: (d_in, d_out) of the drawn tables, unequal ones included.
+MAP_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+class TestWriterMapLayout:
+    """Map-table files in the writer's layout are read by the operator files' part scan."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_same_bits_as_json_or_none(self, tmp_path, data):
+        d_in, d_out = data.draw(st.sampled_from(MAP_DIMS))
+        written = data.draw(st.booleans())
+        if written:  # write_map_table's file of a real or complex table
+            path = tmp_path / "writer.json"
+            write_map_table(str(path), LinearMapTable(_drawn_operator(data, [d_in, d_out])))
+            text = path.read_text()
+            images = [(_entry_rows(image["re"]), _entry_rows(image["im"]))
+                      for image in json.loads(text)["images"]]
+            assert _map_text(d_in, d_out, images) == text
+        else:  # entry texts the writer may not write, in its layout
+            rows = st.lists(st.lists(st.sampled_from(ENTRY_TEXTS), min_size=d_out,
+                                     max_size=d_out), min_size=d_out, max_size=d_out)
+            images = [(data.draw(rows), data.draw(rows)) for _ in range(d_in * d_in)]
+            text = _map_text(d_in, d_out, images)
+        mutation = data.draw(st.sampled_from([None] + MAP_MUTATIONS))
+        if mutation is not None:
+            k = data.draw(st.integers(0, d_in * d_in - 1))
+            text = _map_text(d_in, d_out, images, mutation, k,
+                             data.draw(st.sampled_from(BAD_ENTRY_TEXTS)))
+        mutate = data.draw(st.booleans())
+        if mutate:  # a flipped byte, a space, a cut end or an added key
+            text = _mutated(data, text)
+        layout = _assert_map_layout_agrees(tmp_path / "map.json", text)
+        if not mutate and mutation is not None:
+            assert layout is None
+        if not mutate and mutation is None and written:
+            assert layout is not None
+
+    @pytest.mark.parametrize("mutation", MAP_MUTATIONS)
+    @pytest.mark.parametrize("make", [lambda: choi_map(3, 1), lambda: LinearMapTable(
+        HermitianOp(TensorSpace((2, 3)), random_hermitian(np.random.default_rng(5), 6)))],
+        ids=["real", "complex"])
+    def test_each_mutation_is_read_by_json(self, tmp_path, make, mutation):
+        path = tmp_path / "writer.json"
+        write_map_table(str(path), make())
+        doc = json.loads(path.read_text())
+        images = [(_entry_rows(image["re"]), _entry_rows(image["im"])) for image in doc["images"]]
+        for k in (0, len(images) - 1):
+            text = _map_text(doc["d_in"], doc["d_out"], images, mutation, k)
+            assert _assert_map_layout_agrees(tmp_path / "map.json", text) is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: choi_map(6, 2), lambda: identity_map(3),
+        lambda: dejamiolkowski(HermitianOp(bipartite(3), random_hermitian(
+            np.random.default_rng(3), 9))),
+        lambda: LinearMapTable(HermitianOp(TensorSpace((2, 3)), random_hermitian(
+            np.random.default_rng(4), 6))),
+        lambda: LinearMapTable(HermitianOp(TensorSpace((3, 2)), np.arange(36.0).reshape(6, 6)
+                                           + np.arange(36.0).reshape(6, 6).T)),
+    ], ids=["choi", "identity", "complex", "complex_2_to_3", "real_3_to_2"])
+    def test_writer_map_files_skip_json_loads(self, tmp_path, monkeypatch, make):
+        path, table = str(tmp_path / "map.json"), make()
+        write_map_table(path, table)
+        expected = _read_map_by_json(path)
+        monkeypatch.setattr(serialize, "_parse_json", None)  # a call would raise
+        got = read_map_table(path)
+        assert got.choi.matrix.dtype == expected.choi.matrix.dtype == table.choi.matrix.dtype
+        assert got.choi.matrix.tobytes() == expected.choi.matrix.tobytes()
+        assert got.choi.matrix.tobytes() == table.choi.matrix.tobytes()
+
+    def test_header_claiming_a_huge_table_exits_3_at_once(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"d_in": 65536, "d_out": 65536, "images": [{"re": [[0]], "im": [[0]]}]}')
+        assert len(path.read_bytes()) <= 80
+        built = []
+        monkeypatch.setattr(serialize, "_zero_text", lambda n: built.append(n) or "")
+        assert serialize._writer_map_layout(path.read_text()) is None
+        out = tmp_path / "w.json"
+        assert main(["cj", "to-witness", "-m", str(path), "--out", str(out)]) == 3
+        assert not built and not out.exists()
+        assert "images must be a list of" in capsys.readouterr().err
 
 
 SWEEP_GRIDS = [

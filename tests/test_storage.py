@@ -11,6 +11,7 @@ import pytest
 
 from ewkit import (
     HermitianOp,
+    LinearMapTable,
     ScanConfig,
     TensorSpace,
     bipartite,
@@ -168,3 +169,66 @@ def test_map_table_of_real_images_round_trips_real(tmp_path):
     back = read_map_table(path)
     assert back.choi.matrix.dtype == np.float64
     assert back.choi.matrix.tobytes() == table.choi.matrix.tobytes()
+
+
+def _complex_path_apply(table: LinearMapTable, x: np.ndarray) -> np.ndarray:
+    """phi(x) with x cast to complex: the one formula apply had for every table."""
+    blocks = table.choi.matrix.reshape(table.choi.space.dims * 2)
+    return np.tensordot(np.asarray(x, dtype=complex), blocks, axes=([0, 1], [0, 2]))
+
+
+def _real_table(d_in: int, d_out: int, seed: int = 0) -> LinearMapTable:
+    m = np.random.default_rng([d_in, d_out, seed]).standard_normal((d_in * d_out,) * 2)
+    return LinearMapTable(HermitianOp(TensorSpace((d_in, d_out)), m + m.T))
+
+
+REAL_TABLES = {
+    "identity_map": lambda: identity_map(3),
+    "transpose_map": lambda: transpose_map(4),
+    "choi_map": lambda: choi_map(5, 2),
+    "dense_3_to_2": lambda: _real_table(3, 2),
+    "dense_4_to_6": lambda: _real_table(4, 6),
+}
+
+
+class TestApplyKeepsARealMapReal:
+    """LinearMapTable.apply chooses its dtype as the gate does."""
+
+    def test_identity_map_of_the_identity_is_float64(self):
+        out = identity_map(3).apply(np.eye(3))
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.eye(3))
+
+    @pytest.mark.parametrize("make", REAL_TABLES.values(), ids=REAL_TABLES.keys())
+    def test_real_table_and_argument_give_the_complex_path_values(self, make):
+        table = make()
+        rng = np.random.default_rng(table.d_out)
+        integral = rng.integers(-3, 4, (table.d_in, table.d_in))
+        for x in (integral, integral.astype(bool), rng.standard_normal((table.d_in,) * 2)):
+            got, expected = table.apply(x), _complex_path_apply(table, x)
+            assert got.dtype == np.float64 and not expected.imag.any()
+            # the same d_in**2 products, summed in real rather than complex
+            # arithmetic: within the dot product's rounding bound
+            bound = table.d_in**2 * np.finfo(float).eps * np.tensordot(
+                np.abs(x), np.abs(table.choi.matrix).reshape(table.choi.space.dims * 2),
+                axes=([0, 1], [0, 2]))
+            assert (np.abs(got - expected.real) <= bound).all()
+
+    @pytest.mark.parametrize("name", ["identity_map", "transpose_map", "choi_map"])
+    def test_integral_table_and_argument_give_the_complex_path_bits(self, name):
+        # every product and partial sum is an exact small integer
+        table = REAL_TABLES[name]()
+        x = np.random.default_rng(1).integers(-3, 4, (table.d_in, table.d_in))
+        assert table.apply(x).tobytes() == _complex_path_apply(table, x).real.tobytes()
+
+    @pytest.mark.parametrize("case", ["complex_table", "complex_argument", "both_complex"])
+    def test_complex_table_or_argument_gives_complex128(self, case):
+        rng = np.random.default_rng(7)
+        table = _real_table(3, 2) if case == "complex_argument" else dejamiolkowski(
+            HermitianOp(TensorSpace((3, 2)), random_hermitian(rng, 6)))
+        x = rng.standard_normal((3, 3))
+        if case != "complex_table":
+            x = x + 1j * rng.standard_normal((3, 3))
+        got = table.apply(x)
+        assert got.dtype == complex
+        assert got.tobytes() == _complex_path_apply(table, x).tobytes()
