@@ -4,10 +4,11 @@ Floats are written in Python's shortest round-trip decimal form, so a
 write-then-read cycle reproduces every operator bit-exactly; integral
 entries of magnitude up to 2**53 (all the unnormalized witnesses) are
 written as JSON integers. Only the nonzero entries of a real or imaginary
-part (a map table's images as one stack) are converted and encoded; the
-zeros are written as "0" with no per-entry conversion, and the im part of a
-real (float64) operator or table is written as zeros with no pass over it.
-An operator or map table is encoded before its file is opened, so a failed
+part (a map table's images as one stack) are converted and encoded, and
+their texts are spliced into the text of an all-zero matrix at their byte
+offsets, so the zeros cost no per-entry work; the im part of a real
+(float64) operator or table is written as zeros with no pass over it. An
+operator or map table is encoded before its file is opened, so a failed
 write leaves the file as it was.
 
 On reading, every re/im entry must be a finite JSON number. A file's text is
@@ -22,14 +23,10 @@ entries other than "0" to one json.loads. Every other text is parsed by
 json.loads; a file that is not UTF-8, not JSON or nested too deeply to
 parse is malformed. The layout check raises nothing: a text it does not
 take goes to json.loads, so each error has one message. The re and im
-parts of a parsed document are converted by a dtype-less np.array, which
-leaves only one kind of bad entry unseen: a true or false among numbers. So
-a document whose text holds neither literal is accepted when both parts
-come out as finite int or float arrays of the right shape; every other
-document goes through the per-entry type scan, which gives each rejection
-its message. Parts whose im is all zero are read as a float64 matrix (an
-im entry -0.0 loses its sign, as the writer prints it 0), any others as
-complex128, as HermitianOp stores them.
+parts of a parsed document go through the per-entry type scan, which gives
+each rejection its message. Parts whose im is all zero are read as a
+float64 matrix (an im entry -0.0 loses its sign, as the writer prints it
+0), any others as complex128, as HermitianOp stores them.
 """
 
 from __future__ import annotations
@@ -60,15 +57,14 @@ def _read_text(path: str) -> str:
         raise MalformedFileError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _parse_json(path: str, text: str) -> tuple[Any, bool]:
-    """The document in a file's text, and whether the text holds a true or false literal."""
+def _parse_json(path: str, text: str) -> Any:
+    """The document in a file's text."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer beyond int's digit limit
         raise MalformedFileError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise MalformedFileError(f"{path}: JSON nested too deeply to parse") from exc
-    return doc, "true" in text or "false" in text
 
 
 def _write_text(path: str, text: str) -> None:
@@ -85,23 +81,29 @@ def _to_lists(a: np.ndarray) -> list:
 
 
 def _json_texts(a: np.ndarray) -> list[str]:
-    """json.dumps(_to_lists(a[i])) for each i, converting only the nonzero entries.
+    """json.dumps(_to_lists(a[i])) for each n x n matrix a[i]; only nonzero entries are converted.
 
-    Zeros (-0.0 included, as _to_lists makes it int 0) stay "0" cells; the
-    nonzeros are encoded by one json.dumps, whose ", " separator no JSON
-    number contains. The cells are then joined one axis at a time,
-    innermost first.
+    Each text is _zero_text(n) with its matrix's nonzero entries' texts
+    spliced in: entry k of a matrix replaces the "0" at offset
+    3k + 2(k // n) + 2 of its zero text. Zeros (-0.0 included, as _to_lists
+    makes it int 0) stay "0". The nonzeros are encoded by one json.dumps,
+    whose ", " separator no JSON number contains, and the whole stack is
+    spliced by one join, with a newline between matrices to split it at.
     """
-    flat = a.ravel()
-    cells = ["0"] * flat.size
+    count, n = len(a), a.shape[-1]
+    zeros = _zero_text(n)
+    flat = a.reshape(-1)
     nonzero = np.flatnonzero(flat)
-    if nonzero.size:
-        texts = json.dumps(_to_lists(flat[nonzero]))[1:-1].split(", ")
-        for i, text in zip(nonzero.tolist(), texts):
-            cells[i] = text
-    for n in reversed(a.shape[1:]):
-        cells = ["[" + ", ".join(cells[i:i + n]) + "]" for i in range(0, len(cells), n)]
-    return cells
+    if not nonzero.size:
+        return [zeros] * count
+    texts = json.dumps(_to_lists(flat[nonzero]))[1:-1].split(", ")
+    part, k = np.divmod(nonzero, n * n)
+    stack = "\n".join([zeros] * count)
+    starts = (part * (len(zeros) + 1) + 3 * k + 2 * (k // n) + 2).tolist()
+    pieces = [""] * (2 * len(texts) + 1)
+    pieces[0::2] = [stack[i + 1:j] for i, j in zip([-1, *starts], [*starts, len(stack)])]
+    pieces[1::2] = texts
+    return "".join(pieces).split("\n")
 
 
 def _im_texts(a: np.ndarray) -> list[str]:
@@ -155,26 +157,6 @@ def _matrix(re_arr: np.ndarray, im_arr: np.ndarray) -> np.ndarray:
     return m
 
 
-def _parts_array(re: Any, im: Any, shape: tuple[int, ...], booleans: bool) -> np.ndarray:
-    """_numeric_array(re, im, shape), skipping its type scan when booleans is False.
-
-    booleans=False promises that no entry is a JSON true or false; the only
-    bad entries a dtype-less np.array then turns into int or float arrays
-    are the non-finite ones (strings give kind U, null and integers beyond
-    64 bits object, ragged rows raise), so finite int or float parts of the
-    right shape are the parts _numeric_array accepts, with the same values.
-    """
-    if not booleans:
-        try:
-            parts = np.array(re), np.array(im)
-        except ValueError:
-            parts = ()
-        if parts and all(arr.dtype.kind in "iuf" and arr.shape == shape
-                         and np.isfinite(arr).all() for arr in parts):
-            return _matrix(*parts)
-    return _numeric_array(re, im, shape)
-
-
 def _space(dims: list[int]) -> TensorSpace:
     try:
         return TensorSpace(tuple(dims))
@@ -194,8 +176,8 @@ def _operator(space: TensorSpace, matrix: np.ndarray, meta: Any) -> tuple[Hermit
     return op, meta
 
 
-def operator_from_json_dict(doc: Any, booleans: bool = True) -> tuple[HermitianOp, dict]:
-    """The operator and meta of a document; see _parts_array for booleans."""
+def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
+    """The operator and meta of a document."""
     if not isinstance(doc, dict):
         raise MalformedFileError("operator document must be a JSON object")
     dims = doc.get("dims")
@@ -205,7 +187,7 @@ def operator_from_json_dict(doc: Any, booleans: bool = True) -> tuple[HermitianO
     if "re" not in doc or "im" not in doc:
         raise MalformedFileError("operator document must carry re and im matrices")
     n = space.total
-    return _operator(space, _parts_array(doc["re"], doc["im"], (n, n), booleans), doc.get("meta"))
+    return _operator(space, _numeric_array(doc["re"], doc["im"], (n, n)), doc.get("meta"))
 
 
 # The writer's layouts, read without parsing every zero entry: an operator file
@@ -328,7 +310,7 @@ def _writer_layout(text: str) -> tuple[list[int], np.ndarray, Any] | None:
     """(dims, _matrix(re, im), meta) of an operator file's text in the writer's layout, else None.
 
     Any text this returns parts of is a document that json.loads and
-    _parts_array read to the same dims, the same bits of re and im, and the
+    _numeric_array read to the same dims, the same bits of re and im, and the
     same meta; it raises nothing, so every error keeps its one message.
     """
     head = _WRITER_HEAD.match(text)
@@ -392,14 +374,14 @@ def read_operator(path: str) -> tuple[HermitianOp, dict]:
     text = _read_text(path)
     layout = _writer_layout(text)
     if layout is None:
-        return operator_from_json_dict(*_parse_json(path, text))
+        return operator_from_json_dict(_parse_json(path, text))
     del text  # not held through the gate's copies
     dims, matrix, meta = layout
     return _operator(_space(dims), matrix, meta)
 
 
-def map_table_from_json_dict(doc: Any, booleans: bool = True) -> LinearMapTable:
-    """The map table of a document; see _parts_array for booleans."""
+def map_table_from_json_dict(doc: Any) -> LinearMapTable:
+    """The map table of a document."""
     if not isinstance(doc, dict):
         raise MalformedFileError("map-table document must be a JSON object")
     try:
@@ -418,8 +400,8 @@ def map_table_from_json_dict(doc: Any, booleans: bool = True) -> LinearMapTable:
         raise MalformedFileError("each image needs re and im matrices")
     shape = (d_in * d_in, d_out, d_out)
     if raw_images:
-        images = _parts_array([entry["re"] for entry in raw_images],
-                              [entry["im"] for entry in raw_images], shape, booleans)
+        images = _numeric_array([entry["re"] for entry in raw_images],
+                                [entry["im"] for entry in raw_images], shape)
     else:  # d_in = 0: no entries to check; LinearMapTable rejects the dims
         images = np.zeros(shape, dtype=complex)
     return _map_table(d_in, d_out, images)
@@ -455,7 +437,7 @@ def read_map_table(path: str) -> LinearMapTable:
     text = _read_text(path)
     layout = _writer_map_layout(text)
     if layout is None:
-        return map_table_from_json_dict(*_parse_json(path, text))
+        return map_table_from_json_dict(_parse_json(path, text))
     del text  # not held through the gate's copies
     return _map_table(*layout)
 

@@ -10,7 +10,8 @@ real product vectors, the sweep kernel against a per-gamma loop of exactly
 summed traces, the witness, Ha-state and block-positivity scan kernels
 against their per-block and per-restart loops (the Ha weights from their
 printed formulas), the operator, map-table
-and sweep writers against per-entry and per-row codecs, and the readers'
+and sweep writers against per-entry and per-row codecs (the matrix texts
+against one cell per entry), and the readers'
 re/im conversion against a type check of every entry.
 """
 
@@ -165,6 +166,19 @@ def _matrix_to_lists(m: np.ndarray) -> tuple[list[list], list[list]]:
     re = [[_num(v) for v in row] for row in m.real.tolist()]
     im = [[_num(v) for v in row] for row in m.imag.tolist()]
     return re, im
+
+
+def json_texts_per_cell(a: np.ndarray) -> list[str]:
+    """The JSON text of each matrix a[i] of a stack, built one cell per entry.
+
+    Each nonzero entry is converted by _num and encoded on its own; zeros
+    (-0.0 included) are "0" cells. The cells are then joined one axis at a
+    time, innermost first.
+    """
+    cells = [json.dumps(_num(v)) if v else "0" for v in a.ravel().tolist()]
+    for n in reversed(a.shape[1:]):
+        cells = ["[" + ", ".join(cells[i:i + n]) + "]" for i in range(0, len(cells), n)]
+    return cells
 
 
 def _write_json_streamed(path: str, doc: dict) -> None:

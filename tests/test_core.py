@@ -19,6 +19,7 @@ from ewkit import (
     witness_dk,
 )
 from ewkit.certify import REVALIDATE_TOL
+from ewkit import core
 from ewkit.core import PSD_RTOL
 from ewkit.detect import sweep
 
@@ -353,6 +354,68 @@ class TestRealSpectrum:
         assert spectrum.eigenvalues.tobytes() == solve(op.matrix).tobytes()
         is_psd(witness_dk(3, 1))
         assert dtypes == [np.dtype(complex), np.dtype(float)]
+
+
+def _block(rng: np.random.Generator, s: int, kind: str, complex_: bool) -> np.ndarray:
+    """An s x s Hermitian block: indefinite, PSD, or PSD of rank s - 1 (at the boundary)."""
+    g = rng.standard_normal((s, s)) + (1j * rng.standard_normal((s, s)) if complex_ else 0)
+    if kind == "indefinite":
+        return (g + g.conj().T) / 2
+    if kind == "boundary":
+        g[:, -1] = 0  # one zero eigenvalue; a 1 x 1 block becomes an exact 0
+    return g @ g.conj().T
+
+
+def _drawn_matrix(data, n: int) -> np.ndarray:
+    """A Hermitian n x n matrix: permuted blocks, dense, or a permuted tridiagonal."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    complex_ = data.draw(st.booleans())
+    kind = data.draw(st.sampled_from(["blocks", "dense", "tridiagonal"]))
+    if kind == "dense":
+        m = _block(rng, n, data.draw(st.sampled_from(["indefinite", "psd", "boundary"])), complex_)
+    elif kind == "tridiagonal":
+        off = rng.standard_normal(n - 1) + (1j * rng.standard_normal(n - 1) if complex_ else 0)
+        m = np.diag(rng.uniform(2.5, 3.0, n)) + np.diag(off, 1) + np.diag(off.conj(), -1)
+    else:
+        m = np.zeros((n, n), dtype=complex if complex_ else float)
+        start = 0
+        while start < n:
+            s = min(n - start, data.draw(st.integers(1, 12)))
+            block = data.draw(st.sampled_from(["indefinite", "psd", "psd", "boundary", "boundary"]))
+            m[start:start + s, start:start + s] = _block(rng, s, block, complex_)
+            start += s
+    order = rng.permutation(n)
+    return m[order][:, order]
+
+
+class TestBlockSpectrum:
+    """is_psd solves a large sparse matrix block by block, with the whole solve's verdict."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_verdict_and_spectrum_match_the_whole_solve(self, data):
+        n = data.draw(st.integers(core._BLOCK_SOLVE_MIN_DIM, core._BLOCK_SOLVE_MIN_DIM + 60))
+        op = HermitianOp(TensorSpace((n,)), _drawn_matrix(data, n))
+        ok, spectrum = is_psd(op)
+        eigs = np.linalg.eigvalsh(op.matrix)
+        assert ok == bool(eigs[0] >= -PSD_RTOL * np.abs(eigs).max())
+        assert np.all(np.diff(spectrum.eigenvalues) >= 0)
+        bound = n * np.finfo(float).eps * np.abs(eigs).max()
+        assert np.abs(spectrum.eigenvalues - eigs).max() <= bound
+
+    @pytest.mark.parametrize("flags", [None, (False, True)])
+    def test_witness_at_d_20_is_solved_in_small_blocks(self, flags, monkeypatch):
+        solve = np.linalg.eigvalsh
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+        op = witness_dk(20, 1)
+        if flags:
+            op = partial_transpose(op, flags)
+        _, spectrum = is_psd(op)
+        assert shapes and max(shape[-1] for shape in shapes) <= (20 if flags is None else 2)
+        eigs = solve(op.matrix)
+        bound = 400 * np.finfo(float).eps * np.abs(eigs).max()
+        assert np.abs(spectrum.eigenvalues - eigs).max() <= bound
 
 
 class TestTracePair:

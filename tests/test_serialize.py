@@ -38,6 +38,7 @@ from ewkit import serialize
 from ewkit.cli import main
 
 from oracles import (
+    json_texts_per_cell,
     map_images,
     numeric_parts_per_entry,
     random_hermitian,
@@ -151,7 +152,7 @@ def _write_doc(path, doc) -> str:
 
 
 def _json_doc(path: str):
-    """The json.loads path's document of the file, and whether its text holds true or false."""
+    """The json.loads path's document of the file."""
     return serialize._parse_json(path, serialize._read_text(path))
 
 
@@ -304,6 +305,11 @@ def _planted_hermitian(n: int, seed: int) -> np.ndarray:
     return m
 
 
+#: Entries the writers print in each of their forms: signed zeros, integral
+#: floats at and beyond 2**53 (integers up to it), subnormals and ordinary floats.
+STACK_VALUES = [-0.0, 1.0, -3.0, 2.0**53, -(2.0**53), 2.0**53 + 2, 2.0**60, -(2.0**64),
+                2.5, -1e-300, 5e-324, 1e300, 0.1]
+
 OPERATORS = {
     "witness": lambda d: witness_dk(d, 1),
     "state": lambda d: ha_state(d, 0.37),
@@ -374,6 +380,29 @@ class TestWritersMatchPerEntryCodec:
         op = HermitianOp(bipartite(20), random_hermitian(np.random.default_rng(400), 400))
         assert np.count_nonzero(op.matrix.real) == 400 * 400
         assert self._same_bytes(tmp_path, write_operator, write_operator_per_entry, op)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_matrix_texts_match_the_per_cell_writer(self, tmp_path, data):
+        if data.draw(st.booleans()):  # a map table, d_in and d_out unequal or not
+            d_in, d_out = data.draw(st.sampled_from(MAP_DIMS))
+            table = LinearMapTable(_drawn_operator(data, [d_in, d_out]))
+            assert self._same_bytes(tmp_path, write_map_table, write_map_table_per_entry, table)
+            stack = map_images(table)
+        else:  # a stack of matrices, each entry zero with the drawn probability
+            count, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+            zero = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))  # the share of zeros
+            values = st.one_of(st.sampled_from(STACK_VALUES),
+                               st.floats(allow_nan=False, allow_infinity=False))
+            entry = st.tuples(st.floats(0, 1), values).map(
+                lambda pair: 0.0 if pair[0] < zero else pair[1])
+            parts = [np.array(data.draw(st.lists(entry, min_size=count * n * n,
+                                                 max_size=count * n * n))).reshape(count, n, n)
+                     for _ in range(2)]
+            stack = parts[0] + 1j * parts[1] if data.draw(st.booleans()) else parts[0]
+        assert serialize._json_texts(stack.real) == json_texts_per_cell(stack.real)
+        assert serialize._im_texts(stack) == json_texts_per_cell(stack.imag)
 
     def test_meta_with_nested_values_and_non_ascii_text(self, tmp_path):
         meta = {"note": "\u03c1\u2080 \u2014 \u0126a \u2713 caf\u00e9", "emoji": "\U0001f642",
@@ -479,8 +508,8 @@ def _draw_part(data, count: int | None, n: int, odd: bool) -> list:
     return matrices[0] if count is None else matrices
 
 
-class TestReaderSkipsTheTypeScan:
-    """The readers convert re/im without the per-entry type scan when the text allows it."""
+class TestParsedParts:
+    """The re/im parts of a parsed document are checked entry by entry."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -490,20 +519,19 @@ class TestReaderSkipsTheTypeScan:
         n = data.draw(st.integers(2, 3))
         odd = data.draw(st.booleans())
         re, im = (_draw_part(data, count, n, odd) for _ in range(2))
-        meta = data.draw(st.sampled_from([{}, {"note": True}, {"note": "false"}]))
-        text = json.dumps({"dims": [n], "re": re, "im": im, "meta": meta})
+        text = json.dumps({"re": re, "im": im})
         path = tmp_path / "parts.json"
         path.write_text(text.replace('"@1e999"', "1e999"))
-        doc, booleans = _json_doc(str(path))
+        doc = _json_doc(str(path))
         shape = (n, n) if count is None else (count, n, n)
         try:
             expected = numeric_parts_per_entry(doc["re"], doc["im"], shape)
         except MalformedFileError as exc:
             with pytest.raises(MalformedFileError) as info:
-                serialize._parts_array(doc["re"], doc["im"], shape, booleans)
+                serialize._numeric_array(doc["re"], doc["im"], shape)
             assert str(info.value) == str(exc)
         else:
-            got = serialize._parts_array(doc["re"], doc["im"], shape, booleans)
+            got = serialize._numeric_array(doc["re"], doc["im"], shape)
             # float64 exactly when im is all zero (a -0.0 there loses its sign)
             assert got.dtype == (complex if expected[1].any() else float)
             assert got.real.tobytes() == expected[0].tobytes()
@@ -511,20 +539,6 @@ class TestReaderSkipsTheTypeScan:
                 assert got.imag.tobytes() == expected[1].tobytes()
             else:
                 assert not expected[1].any()
-
-    def test_type_scan_runs_only_for_a_text_with_true_or_false(self, tmp_path, monkeypatch):
-        # an indented file is not in the writer's layout, so json.loads reads it
-        scanned = []
-        scan = serialize._numeric_array
-        monkeypatch.setattr(serialize, "_numeric_array",
-                            lambda *args: scanned.append(args) or scan(*args))
-        path, w = tmp_path / "w.json", witness_dk(3, 1)
-        for meta, scans in (({}, 0), ({"note": True}, 1)):
-            write_operator(str(path), w, meta)
-            path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
-            op, got = read_operator(str(path))
-            assert np.array_equal(op.matrix, w.matrix) and got == meta
-            assert len(scanned) == scans
 
     def test_true_in_meta_with_valid_parts_is_read_by_pair(self, tmp_path, capsys):
         w_path, rho_path = str(tmp_path / "w.json"), str(tmp_path / "rho.json")
@@ -605,7 +619,7 @@ def _mutated(data, text: str) -> str:
 def _read_by_json(path: str):
     """The json.loads path's operator and meta for the file, or its error."""
     try:
-        return serialize.operator_from_json_dict(*_json_doc(path))
+        return serialize.operator_from_json_dict(_json_doc(path))
     except MalformedFileError as exc:
         return exc
 
@@ -618,10 +632,10 @@ def _assert_layout_agrees(path, text: str):
     path.write_text(text)
     layout = serialize._writer_layout(text)
     if layout is not None:
-        doc, booleans = _json_doc(str(path))
+        doc = _json_doc(str(path))
         dims, matrix, meta = layout
         n = math.prod(dims)
-        parts = serialize._parts_array(doc["re"], doc["im"], (n, n), booleans)
+        parts = serialize._numeric_array(doc["re"], doc["im"], (n, n))
         assert dims == doc["dims"] and set(doc) == {"dims", "re", "im", "meta"}
         assert matrix.real.tobytes() == parts.real.tobytes()
         assert matrix.imag.tobytes() == parts.imag.tobytes()
@@ -779,7 +793,7 @@ MAP_MUTATIONS = ["bad entry", "dropped entry", "number before re", "swapped re a
 def _read_map_by_json(path: str):
     """The json.loads path's map table for the file, or its error."""
     try:
-        return serialize.map_table_from_json_dict(*_json_doc(path))
+        return serialize.map_table_from_json_dict(_json_doc(path))
     except ValueError as exc:  # a malformed file, or not a Hermiticity-preserving map
         return exc
 
@@ -792,14 +806,14 @@ def _assert_map_layout_agrees(path, text: str):
     path.write_text(text)
     layout = serialize._writer_map_layout(text)
     if layout is not None:
-        doc, booleans = _json_doc(str(path))
+        doc = _json_doc(str(path))
         d_in, d_out, images = layout
         assert set(doc) == {"d_in", "d_out", "images"} and (d_in, d_out) == (doc["d_in"],
                                                                              doc["d_out"])
         assert all(set(image) == {"re", "im"} for image in doc["images"])
-        expected = serialize._parts_array([image["re"] for image in doc["images"]],
-                                          [image["im"] for image in doc["images"]],
-                                          (d_in * d_in, d_out, d_out), booleans)
+        expected = serialize._numeric_array([image["re"] for image in doc["images"]],
+                                            [image["im"] for image in doc["images"]],
+                                            (d_in * d_in, d_out, d_out))
         assert images.dtype == expected.dtype and images.tobytes() == expected.tobytes()
     expected = _read_map_by_json(str(path))
     try:
