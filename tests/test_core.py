@@ -18,8 +18,8 @@ from ewkit import (
     trace_pair,
     witness_dk,
 )
-from ewkit.certify import REVALIDATE_TOL
 from ewkit import core
+from ewkit.certify import REVALIDATE_TOL
 from ewkit.core import PSD_RTOL
 from ewkit.detect import sweep
 
