@@ -305,6 +305,11 @@ def _history_summary(histories: list[list[float]], max_iters: int, w_norm: float
     }
 
 
+#: The evidence keys of a blockpos_scan certificate.
+_SCAN_KEYS = set("minimum product_value cutoff restarts max_iters conv_tol seed best_restart "
+                 "unconverged_restarts x_re x_im y_re y_im histories max_step_increase".split())
+
+
 def _scan_consistent(cert: Certificate) -> bool:
     """The stored product vector's value and the histories back the scan's claims."""
     ev = cert.evidence
@@ -343,22 +348,26 @@ def revalidate(cert: Certificate) -> bool:
     same; ints, strings and lists must be equal and floats within
     REVALIDATE_TOL. A blockpos scan is not re-run: the value of its stored
     product vector is recomputed, and its minimum, best restart, convergence
-    count and step increase must follow from its histories.
+    count and step increase must follow from its histories. Evidence its
+    producer cannot re-run on (no sigma, a sigma of another length, no
+    assumption) gives False; only an unknown kind raises.
     """
     ops, ev = cert.operators, cert.evidence
     if cert.kind == "blockpos-scan":
-        return _scan_consistent(cert)
-    if cert.kind in ("ppt", "ccp"):
-        fresh = certify_ppt(ops["rho"], ev["sigma"])
-    elif cert.kind == "detection":
-        fresh = certify_detection(ops["witness"], ops["rho"])
-    elif cert.kind == "atomic-conditional":
-        assumption = cert.assumptions[0] if cert.assumptions else ""
-        fresh = certify_atomic_conditional(ops["witness"], ops["rho"], assumption)
-    elif cert.kind == "indecomposable":
-        fresh = certify_indecomposable(ops["witness"], ops["rho"], ev["sigma"])
-    else:
+        return ev.keys() == _SCAN_KEYS and _scan_consistent(cert)
+    if cert.kind not in ("ppt", "ccp", "detection", "atomic-conditional", "indecomposable"):
         raise ValueError(f"unknown certificate kind {cert.kind!r}")
+    try:
+        if cert.kind in ("ppt", "ccp"):
+            fresh = certify_ppt(ops["rho"], ev["sigma"])
+        elif cert.kind == "detection":
+            fresh = certify_detection(ops["witness"], ops["rho"])
+        elif cert.kind == "atomic-conditional":
+            fresh = certify_atomic_conditional(ops["witness"], ops["rho"], cert.assumptions[0])
+        else:
+            fresh = certify_indecomposable(ops["witness"], ops["rho"], ev["sigma"])
+    except (LookupError, ValueError):  # no sigma, a sigma of another length, or no assumption
+        return False
     return (
         fresh.verdict == cert.verdict
         and fresh.assumptions == cert.assumptions

@@ -2,7 +2,8 @@
 
 Subcommands: construct, pair, bounds, sweep, certify, cj. Exit codes are a
 total contract: 0 success (or certified), 1 not-certified / violation found,
-2 parameter violation or dimension mismatch, 3 unreadable or malformed file.
+2 parameter violation, dimension mismatch or failed allocation (an operator
+too large for memory), 3 unreadable or malformed file.
 Each kind of construct, bounds, certify and cj accepts only the options it
 reads; any other option, like a missing required one, exits 2.
 """
@@ -61,12 +62,8 @@ MAX_SWEEP_ROWS = 10**7
 GRID_STOP_SLACK = 1e-9
 
 
-def parse_grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive start, exclusive stop) or a bare number.
-
-    Every number must be finite, the step > 0, and the range at most
-    MAX_SWEEP_ROWS points long; the bound is checked before the list is built.
-    """
+def _grid_count(text: str) -> tuple[list[float], int]:
+    """The numbers of a grid text and its point count; raises as parse_grid documents."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"grid must be 'start:stop:step', got {text!r}")
@@ -74,15 +71,26 @@ def parse_grid(text: str) -> list[float]:
     if not all(map(math.isfinite, numbers)):
         raise ValueError(f"grid values must be finite, got {text!r}")
     if len(numbers) == 1:
-        return numbers
+        return numbers, 1
     start, stop, step = numbers
     if step <= 0:
         raise ValueError(f"grid step must be > 0, got {text!r}")
     points = (stop - start) / step - GRID_STOP_SLACK
     if points > MAX_SWEEP_ROWS:
         raise ValueError(f"grid has more than {MAX_SWEEP_ROWS} points, got {text!r}")
-    count = max(0, math.ceil(points))
-    return [start + i * step for i in range(count)]
+    return numbers, max(0, math.ceil(points))
+
+
+def parse_grid(text: str) -> list[float]:
+    """Parse 'start:stop:step' (inclusive start, exclusive stop) or a bare number.
+
+    Every number must be finite, the step > 0, and the range at most
+    MAX_SWEEP_ROWS points long; the bound is checked before the list is built.
+    """
+    numbers, count = _grid_count(text)
+    if len(numbers) == 1:
+        return numbers
+    return [numbers[0] + i * numbers[2] for i in range(count)]  # start + i * step
 
 
 def parse_sigma(text: str) -> tuple[bool, ...]:
@@ -168,12 +176,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    grids = [parse_grid(g) for g in (args.gamma_grid, args.lambda_grid, args.mu_grid)]
-    rows = math.prod(map(len, grids))
-    if rows > MAX_SWEEP_ROWS:
+    texts = (args.gamma_grid, args.lambda_grid, args.mu_grid)
+    rows = math.prod([_grid_count(text)[1] for text in texts])
+    if rows > MAX_SWEEP_ROWS:  # checked before any grid is built
         raise ValueError(f"sweep has {rows} rows, more than {MAX_SWEEP_ROWS}")
-    table = sweep(args.d, args.k, *grids)
-    write_sweep_csv(args.out, table)
+    write_sweep_csv(args.out, sweep(args.d, args.k, *map(parse_grid, texts)))
     return 0
 
 
@@ -323,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except (MalformedFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:  # a refused allocation too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

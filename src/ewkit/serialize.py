@@ -13,20 +13,21 @@ write leaves the file as it was.
 
 On reading, every re/im entry must be a finite JSON number. A file's text is
 read once. An operator file or map table in the writer's own layout (what
-write_operator, write_map_table and json.dumps write: {"dims", "re", "im",
-"meta"} or {"d_in", "d_out", "images": [{"re", "im"}, ...]}, with ", " and
-"], [" between entries and rows) is read without parsing its zeros: an
-all-zero part is recognised by one string comparison, and the other re (or
-im) parts are scanned as one stack: numpy checks their bytes against the
-brackets and separators of that many n x n matrices and hands only the
-entries other than "0" to one json.loads. Every other text is parsed by
-json.loads; a file that is not UTF-8, not JSON or nested too deeply to
-parse is malformed. The layout check raises nothing: a text it does not
-take goes to json.loads, so each error has one message. The re and im
-parts of a parsed document go through the per-entry type scan, which gives
-each rejection its message. Parts whose im is all zero are read as a
-float64 matrix (an im entry -0.0 loses its sign, as the writer prints it
-0), any others as complex128, as HermitianOp stores them.
+write_operator, write_map_table and json.dumps write:
+{"dims", "re", "im", "meta"} or {"d_in", "d_out", "images": [{"re", "im"},
+...]}, with ", " and "], [" between entries and rows) is read without parsing
+its zeros. Both layouts are a stack of (re, im) matrix pairs, read by one
+walker (_writer_pairs) as one writer (_pair_texts) writes them: an all-zero
+part is recognised by one string comparison, and the other re (or im) parts
+are scanned as one stack: numpy checks their bytes against the brackets and
+separators of that many n x n matrices and hands only the entries other than
+"0" to one json.loads. Every other text is parsed by json.loads; a file that
+is not UTF-8, not JSON or nested too deeply to parse is malformed. The layout
+check raises nothing: a text it does not take goes to json.loads, so each
+error has one message. The re and im parts of a parsed document go through the
+per-entry type scan, which gives each rejection its message. Parts whose im is
+all zero are read as a float64 matrix (an im entry -0.0 loses its sign, as the
+writer prints it 0), any others as complex128, as HermitianOp stores them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Iterator
 
 import numpy as np
@@ -106,11 +107,10 @@ def _json_texts(a: np.ndarray) -> list[str]:
     return "".join(pieces).split("\n")
 
 
-def _im_texts(a: np.ndarray) -> list[str]:
-    """_json_texts(a.imag) for a stack a of n x n matrices; a real stack's are _zero_text(n)."""
-    if np.iscomplexobj(a):
-        return _json_texts(a.imag)
-    return [_zero_text(a.shape[-1])] * len(a)
+def _pair_texts(a: np.ndarray) -> list[tuple[str, str]]:
+    """The (re, im) texts of each matrix of a stack a; a real one's im texts are _zero_text(n)."""
+    ims = _json_texts(a.imag) if np.iscomplexobj(a) else [_zero_text(a.shape[-1])] * len(a)
+    return list(zip(_json_texts(a.real), ims))
 
 
 _JSON_NUMBERS = {int, float}  # bool is an int subclass, but type(True) is bool
@@ -197,6 +197,7 @@ def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
 _WRITER_HEAD = re.compile(r'\{"dims": \[([1-9][0-9]{0,8}(?:, [1-9][0-9]{0,8})*)\], "re": ')
 _MAP_HEAD = re.compile(r'\{"d_in": ([1-9][0-9]{0,8}), "d_out": ([1-9][0-9]{0,8}), '
                        r'"images": \[\{"re": ')
+_IM_KEY, _NEXT_PAIR = ', "im": ', '}, {"re": '  # the keys of a pair, and between pairs
 _NUMBER_BYTES = b"0123456789+-.eE"  # the bytes a JSON number is written with
 _NUMBER_FLAGS = bytes(int(i in _NUMBER_BYTES) for i in range(256))  # bytes.translate table
 
@@ -206,29 +207,37 @@ def _zero_text(n: int) -> str:
     return "[" + ", ".join(["[" + ", ".join("0" * n) + "]"] * n) + "]"
 
 
-def _writer_parts(text: str, start: int, n: int,
-                  keys: list[str]) -> tuple[list[str | None], int] | None:
-    """The texts of the n x n matrices written at text[start:], one before each key.
+def _writer_pairs(text: str, start: int, n: int, count: int,
+                  end: str) -> tuple[np.ndarray, int] | None:
+    """_matrix(re, im) of count (re, im) pairs of n x n matrices at text[start:], else None.
 
-    Returns them with where the last key ends, or None when a key is not
-    where a matrix ends. An all-zero matrix, one whose text is
-    _zero_text(n), is recognised by one string comparison and given as None.
+    A pair is re, _IM_KEY, im; pairs are joined by _NEXT_PAIR, and end follows the last.
+    Returns the (count, n, n) stack with where end ends. An all-zero matrix costs one string
+    comparison; if every im matrix is all zero, the float64 re stack is returned, no im built.
     """
+    if len(text) < 2 * count * (3 * n * n + 2 * n):  # too short for the matrices
+        return None
     zeros, parts = _zero_text(n), []
-    for key in keys:
+    pairs = chain.from_iterable(repeat((_IM_KEY, _NEXT_PAIR), count - 1))
+    for key in chain(pairs, (_IM_KEY, end)):  # the key after each matrix, made as it goes
         if text.startswith(zeros, start):
-            end = start + len(zeros)
+            stop = start + len(zeros)
             parts.append(None)
         else:
             # the shortest n x n matrix is as long as zeros; a shorter one is not in the layout
-            end = text.find("]]", start + len(zeros) - 2) + 2
-            if end < 2:
+            stop = text.find("]]", start + len(zeros) - 2) + 2
+            if stop < 2:
                 return None
-            parts.append(text[start:end])
-        if not text.startswith(key, end):
+            parts.append(text[start:stop])
+        if not text.startswith(key, stop):
             return None
-        start = end + len(key)
-    return parts, start
+        start = stop + len(key)
+    del zeros  # with it held, glibc places the scan's arrays so that a d = 20 read is ~5 % slower
+    re = _writer_matrices(parts[0::2], n)
+    if re is not None and any(parts[1::2]):  # no im stack when every im matrix is all zero
+        im = _writer_matrices(parts[1::2], n)
+        re = None if im is None else _matrix(re, im)
+    return None if re is None else (re.reshape(count, n, n), start)
 
 
 def _writer_matrices(parts: list[str | None], n: int) -> np.ndarray | None:
@@ -291,21 +300,6 @@ def _writer_matrices(parts: list[str | None], n: int) -> np.ndarray | None:
     return entries
 
 
-def _writer_stacks(parts: list[str | None], shape: tuple[int, ...]) -> np.ndarray | None:
-    """_matrix(re, im) of the parts re, im, re, im, ..., as stacks of the given shape; else None.
-
-    When every im part is all zero, the result is the float64 re stack, and
-    no im stack is built.
-    """
-    re = _writer_matrices(parts[0::2], shape[-1])
-    if re is None:
-        return None
-    if not any(parts[1::2]):
-        return re.reshape(shape)
-    im = _writer_matrices(parts[1::2], shape[-1])
-    return None if im is None else _matrix(re.reshape(shape), im.reshape(shape))
-
-
 def _writer_layout(text: str) -> tuple[list[int], np.ndarray, Any] | None:
     """(dims, _matrix(re, im), meta) of an operator file's text in the writer's layout, else None.
 
@@ -317,12 +311,8 @@ def _writer_layout(text: str) -> tuple[list[int], np.ndarray, Any] | None:
     if head is None:
         return None
     dims = [int(d) for d in head.group(1).split(", ")]
-    n = math.prod(dims)
-    if len(text) < 2 * (3 * n * n + 2 * n):  # too short for two n x n matrices
-        return None
-    found = _writer_parts(text, head.end(), n, [', "im": ', ', "meta": '])
-    matrix = None if found is None else _writer_stacks(found[0], (n, n))
-    if matrix is None:
+    found = _writer_pairs(text, head.end(), math.prod(dims), 1, ', "meta": ')
+    if found is None:
         return None
     try:
         meta, end = json.JSONDecoder().raw_decode(text, found[1])
@@ -330,7 +320,7 @@ def _writer_layout(text: str) -> tuple[list[int], np.ndarray, Any] | None:
         return None
     if text[end:end + 1] != "}" or text[end + 1:].strip(" \t\n\r"):
         return None
-    return dims, matrix, meta
+    return dims, found[0][0], meta
 
 
 def _writer_map_layout(text: str) -> tuple[int, int, np.ndarray] | None:
@@ -344,16 +334,10 @@ def _writer_map_layout(text: str) -> tuple[int, int, np.ndarray] | None:
     if head is None:
         return None
     d_in, d_out = int(head.group(1)), int(head.group(2))
-    count = d_in * d_in
-    if len(text) < 2 * count * (3 * d_out * d_out + 2 * d_out):  # too short for the images
-        return None
-    keys = [', "im": ', '}, {"re": '] * count
-    keys[-1] = "}]}"
-    found = _writer_parts(text, head.end(), d_out, keys)
+    found = _writer_pairs(text, head.end(), d_out, d_in * d_in, "}]}")
     if found is None or text[found[1]:].strip(" \t\n\r"):
         return None
-    images = _writer_stacks(found[0], (count, d_out, d_out))
-    return None if images is None else (d_in, d_out, images)
+    return d_in, d_out, found[0]
 
 
 def write_operator(path: str, op: HermitianOp, meta: dict | None = None) -> None:
@@ -366,8 +350,8 @@ def write_operator(path: str, op: HermitianOp, meta: dict | None = None) -> None
         raise ValueError("meta must be a JSON object")
     dims = json.dumps(list(op.space.dims))
     meta_text = json.dumps(meta or {}, allow_nan=False)
-    (re,), (im,) = _json_texts(op.matrix.real[None]), _im_texts(op.matrix[None])
-    _write_text(path, f'{{"dims": {dims}, "re": {re}, "im": {im}, "meta": {meta_text}}}\n')
+    ((re, im),) = _pair_texts(op.matrix[None])
+    _write_text(path, f'{{"dims": {dims}, "re": {re}{_IM_KEY}{im}, "meta": {meta_text}}}\n')
 
 
 def read_operator(path: str) -> tuple[HermitianOp, dict]:
@@ -428,9 +412,8 @@ def write_map_table(path: str, table: LinearMapTable) -> None:
     d_in, d_out = table.d_in, table.d_out
     blocks = table._blocks().transpose(0, 2, 1, 3)  # [i, j] = phi(e_ij)
     stack = blocks.reshape(-1, d_out, d_out)
-    res, ims = _json_texts(stack.real), _im_texts(stack)
-    images = ", ".join(f'{{"re": {re}, "im": {im}}}' for re, im in zip(res, ims))
-    _write_text(path, f'{{"d_in": {d_in}, "d_out": {d_out}, "images": [{images}]}}\n')
+    images = _NEXT_PAIR.join(re + _IM_KEY + im for re, im in _pair_texts(stack))
+    _write_text(path, f'{{"d_in": {d_in}, "d_out": {d_out}, "images": [{{"re": {images}}}]}}\n')
 
 
 def read_map_table(path: str) -> LinearMapTable:

@@ -354,7 +354,43 @@ class TestCertifyCompletelyCopositive:
         assert certify_ccp(composed).verdict
 
 
+def _tampered_certificates() -> dict[str, tuple[Certificate, Certificate]]:
+    """(certificate, tampered copy) pairs: each producer's certificate with an evidence
+    key dropped or added, a sigma of another length, or no assumptions."""
+    w0, rho = witness_dk(3, 1), ha_state(3, 0.5)
+    certs = {
+        "ppt": certify_ppt(rho, (False, True)),
+        "ghz-ppt": certify_ppt(ghz_projector(3, 2), (False, False, True)),
+        "detection": certify_detection(w0, rho),
+        "indecomposable": certify_indecomposable(w0, rho, (False, True)),
+        "atomic-conditional": certify_atomic_conditional(w0, rho, HA_SCHMIDT_ASSUMPTION),
+        "ccp": certify_ccp(witness_dk(3, 2)),
+        "blockpos-scan": blockpos_scan(w0, ScanConfig(restarts=4, seed=2)),
+    }
+    tampered = {}
+    for name, cert in certs.items():
+        ev = cert.evidence
+        edits = {f"without-{key}": {k: v for k, v in ev.items() if k != key} for key in ev}
+        edits["with-added-key"] = {**ev, "note": 0}
+        if "sigma" in ev:
+            sigma = [0] * (4 - len(ev["sigma"])) + [1]  # 3 bits for 2 parts, 2 for 3
+            edits[f"sigma-{len(sigma)}-bits"] = {**ev, "sigma": sigma}
+        for edit, evidence in edits.items():
+            tampered[f"{name}-{edit}"] = cert, replace(cert, evidence=evidence)
+        if cert.assumptions:
+            tampered[f"{name}-without-assumptions"] = cert, replace(cert, assumptions=())
+    return tampered
+
+
+TAMPERED = _tampered_certificates()
+
+
 class TestRevalidate:
+    @pytest.mark.parametrize("name", list(TAMPERED))
+    def test_tampered_evidence_is_false(self, name):
+        cert, tampered = TAMPERED[name]
+        assert revalidate(cert) and revalidate(tampered) is False
+
     def test_all_kinds_revalidate(self):
         w0 = witness_dk(3, 1)
         rho = ha_state(3, 0.5)

@@ -1,6 +1,7 @@
 """The command-line surface: subcommands, formats, and the exit-code contract."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ class TestConstruct:
                            "--out", str(tmp_path / "w.json"))
         assert code == 2
         assert "k must satisfy" in err
+
+    def test_refused_allocation_exits_2(self, tmp_path, capsys, monkeypatch):
+        # --d 3000 asks numpy for a 589 TiB matrix; the refusal is simulated here
+        def refuse(d, k):
+            raise MemoryError(f"Unable to allocate 589. TiB for an array with d = {d}")
+
+        monkeypatch.setattr(cli, "witness_dk", refuse)
+        out_path = tmp_path / "big.json"
+        code, _, err = run(capsys, "construct", "witness", "--d", "3000", "--k", "1",
+                           "--out", str(out_path))
+        assert code == 2
+        assert err == "error: Unable to allocate 589. TiB for an array with d = 3000\n"
+        assert not out_path.exists()
 
     def test_perturbed(self, tmp_path, capsys):
         path = tmp_path / "wp.json"
@@ -298,6 +312,21 @@ class TestSweep:
         assert code == 2
         assert f"sweep has 1000000000 rows, more than {MAX_SWEEP_ROWS}" in err
         assert not out_path.exists()
+
+    def test_oversized_product_builds_no_grid(self, tmp_path, capsys):
+        # each grid is within the bound, their product is not: no grid list is built
+        argv = ["sweep", "--d", "3", "--k", "1", "--gamma-grid", "0.5:1e7:1",
+                "--lambda-grid", "0:2:1", "--out", str(tmp_path / "s.csv")]
+        build_parser()  # its one-time cost is not the sweep's
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"sweep has 20000000 rows, more than {MAX_SWEEP_ROWS}" in err
+        assert peak < 2**20
 
     def test_malformed_grid_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "sweep", "--d", "3", "--k", "1",

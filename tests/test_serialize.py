@@ -1,5 +1,6 @@
 """File formats: bit-exact operator round trips, map tables, CSV, certificates."""
 
+import functools
 import json
 import math
 
@@ -319,6 +320,11 @@ OPERATORS = {
 }
 
 
+#: The operators the benchmark's pair pipeline writes and reads at its two largest d.
+BENCH_OPERATORS = [functools.partial(make, d) for d in (12, 20) for make in OPERATORS.values()]
+BENCH_OPERATOR_IDS = [f"{name}_d{d}" for d in (12, 20) for name in OPERATORS]
+
+
 class TestWritersMatchPerEntryCodec:
     """write_operator / write_map_table give the per-entry codec's bytes exactly."""
 
@@ -402,7 +408,7 @@ class TestWritersMatchPerEntryCodec:
                      for _ in range(2)]
             stack = parts[0] + 1j * parts[1] if data.draw(st.booleans()) else parts[0]
         assert serialize._json_texts(stack.real) == json_texts_per_cell(stack.real)
-        assert serialize._im_texts(stack) == json_texts_per_cell(stack.imag)
+        assert [im for _, im in serialize._pair_texts(stack)] == json_texts_per_cell(stack.imag)
 
     def test_meta_with_nested_values_and_non_ascii_text(self, tmp_path):
         meta = {"note": "\u03c1\u2080 \u2014 \u0126a \u2713 caf\u00e9", "emoji": "\U0001f642",
@@ -719,14 +725,14 @@ class TestWriterLayout:
     @pytest.mark.parametrize("make", [
         lambda: witness_dk(6, 2), lambda: ha_state(5, 0.5), lambda: projector_q(4),
         lambda: HermitianOp(bipartite(3), random_hermitian(np.random.default_rng(3), 9)),
-    ], ids=["witness", "state", "projector", "complex"])
+    ] + BENCH_OPERATORS, ids=["witness", "state", "projector", "complex"] + BENCH_OPERATOR_IDS)
     def test_writer_files_skip_json_loads(self, tmp_path, monkeypatch, make):
-        path = str(tmp_path / "op.json")
-        write_operator(path, make(), {"checked": True, "draft": False})
+        path, op = str(tmp_path / "op.json"), make()
+        write_operator(path, op, {"checked": True, "draft": False})
         expected = _read_by_json(path)
         monkeypatch.setattr(serialize, "_parse_json", None)  # a call would raise
         got, meta = read_operator(path)
-        assert got.matrix.tobytes() == expected[0].matrix.tobytes()
+        assert got.matrix.tobytes() == expected[0].matrix.tobytes() == op.matrix.tobytes()
         assert meta == expected[1] == {"checked": True, "draft": False}
 
     @pytest.mark.parametrize("text, error", list(OUTSIDE_THE_LAYOUT.values()),
@@ -887,7 +893,9 @@ class TestWriterMapLayout:
             np.random.default_rng(4), 6))),
         lambda: LinearMapTable(HermitianOp(TensorSpace((3, 2)), np.arange(36.0).reshape(6, 6)
                                            + np.arange(36.0).reshape(6, 6).T)),
-    ], ids=["choi", "identity", "complex", "complex_2_to_3", "real_3_to_2"])
+        lambda: choi_map(12, 1), lambda: choi_map(20, 1),
+    ], ids=["choi", "identity", "complex", "complex_2_to_3", "real_3_to_2", "choi_d12",
+            "choi_d20"])
     def test_writer_map_files_skip_json_loads(self, tmp_path, monkeypatch, make):
         path, table = str(tmp_path / "map.json"), make()
         write_map_table(path, table)
