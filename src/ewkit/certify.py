@@ -349,15 +349,17 @@ def revalidate(cert: Certificate) -> bool:
     REVALIDATE_TOL. A blockpos scan is not re-run: the value of its stored
     product vector is recomputed, and its minimum, best restart, convergence
     count and step increase must follow from its histories. Evidence its
-    producer cannot re-run on (no sigma, a sigma of another length, no
-    assumption) gives False; only an unknown kind raises.
+    producer or these checks cannot run on (no sigma, a sigma of another
+    length, no assumption, a value of the wrong type) gives False; only an
+    unknown kind raises.
     """
     ops, ev = cert.operators, cert.evidence
-    if cert.kind == "blockpos-scan":
-        return ev.keys() == _SCAN_KEYS and _scan_consistent(cert)
-    if cert.kind not in ("ppt", "ccp", "detection", "atomic-conditional", "indecomposable"):
+    if cert.kind not in ("ppt", "ccp", "detection", "atomic-conditional", "indecomposable",
+                         "blockpos-scan"):
         raise ValueError(f"unknown certificate kind {cert.kind!r}")
     try:
+        if cert.kind == "blockpos-scan":
+            return ev.keys() == _SCAN_KEYS and _scan_consistent(cert)
         if cert.kind in ("ppt", "ccp"):
             fresh = certify_ppt(ops["rho"], ev["sigma"])
         elif cert.kind == "detection":
@@ -366,7 +368,7 @@ def revalidate(cert: Certificate) -> bool:
             fresh = certify_atomic_conditional(ops["witness"], ops["rho"], cert.assumptions[0])
         else:
             fresh = certify_indecomposable(ops["witness"], ops["rho"], ev["sigma"])
-    except (LookupError, ValueError):  # no sigma, a sigma of another length, or no assumption
+    except (LookupError, TypeError, ValueError):  # evidence missing, or of the wrong type
         return False
     return (
         fresh.verdict == cert.verdict

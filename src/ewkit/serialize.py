@@ -11,23 +11,18 @@ offsets, so the zeros cost no per-entry work; the im part of a real
 operator or map table is encoded before its file is opened, so a failed
 write leaves the file as it was.
 
-On reading, every re/im entry must be a finite JSON number. A file's text is
-read once. An operator file or map table in the writer's own layout (what
-write_operator, write_map_table and json.dumps write:
-{"dims", "re", "im", "meta"} or {"d_in", "d_out", "images": [{"re", "im"},
-...]}, with ", " and "], [" between entries and rows) is read without parsing
-its zeros. Both layouts are a stack of (re, im) matrix pairs, read by one
-walker (_writer_pairs) as one writer (_pair_texts) writes them: an all-zero
-part is recognised by one string comparison, and the other re (or im) parts
-are scanned as one stack: numpy checks their bytes against the brackets and
-separators of that many n x n matrices and hands only the entries other than
-"0" to one json.loads. Every other text is parsed by json.loads; a file that
-is not UTF-8, not JSON or nested too deeply to parse is malformed. The layout
-check raises nothing: a text it does not take goes to json.loads, so each
-error has one message. The re and im parts of a parsed document go through the
-per-entry type scan, which gives each rejection its message. Parts whose im is
-all zero are read as a float64 matrix (an im entry -0.0 loses its sign, as the
-writer prints it 0), any others as complex128, as HermitianOp stores them.
+On reading, every re/im entry must be a finite JSON number, and a file's
+text is read once. Text in the writer's own layout (what write_operator,
+write_map_table and json.dumps write, with ", " and "], [" between entries
+and rows) is read as _pair_texts writes it: an all-zero part costs one
+string comparison, and the others are read as one stack whose nonzero
+entries are found by their digits 1-9 and taken if cutting them out leaves
+the zero texts, so a sparse part's zeros are never parsed. Other text (and
+layout text not taken: that check raises nothing, so each error has one
+message) is parsed by json.loads and its parts go through the per-entry type
+scan; a file that is not UTF-8, not JSON or nested too deeply to parse is
+malformed. Parts whose im is all zero are read as float64 (an im -0.0 loses
+its sign, as the writer prints it 0), others as complex128.
 """
 
 from __future__ import annotations
@@ -84,12 +79,11 @@ def _to_lists(a: np.ndarray) -> list:
 def _json_texts(a: np.ndarray) -> list[str]:
     """json.dumps(_to_lists(a[i])) for each n x n matrix a[i]; only nonzero entries are converted.
 
-    Each text is _zero_text(n) with its matrix's nonzero entries' texts
-    spliced in: entry k of a matrix replaces the "0" at offset
-    3k + 2(k // n) + 2 of its zero text. Zeros (-0.0 included, as _to_lists
-    makes it int 0) stay "0". The nonzeros are encoded by one json.dumps,
-    whose ", " separator no JSON number contains, and the whole stack is
-    spliced by one join, with a newline between matrices to split it at.
+    Each text is _zero_text(n) with its matrix's nonzero entries' texts in
+    place of their "0"s (at _entry_offsets). Zeros (-0.0 included, as
+    _to_lists makes it int 0) stay "0". The nonzeros are encoded by one
+    json.dumps, whose ", " separator no JSON number contains, and the stack
+    is spliced by one join, with a newline after each matrix to split it at.
     """
     count, n = len(a), a.shape[-1]
     zeros = _zero_text(n)
@@ -98,9 +92,8 @@ def _json_texts(a: np.ndarray) -> list[str]:
     if not nonzero.size:
         return [zeros] * count
     texts = json.dumps(_to_lists(flat[nonzero]))[1:-1].split(", ")
-    part, k = np.divmod(nonzero, n * n)
     stack = "\n".join([zeros] * count)
-    starts = (part * (len(zeros) + 1) + 3 * k + 2 * (k // n) + 2).tolist()
+    starts = (_entry_offsets(nonzero, n) + nonzero // (n * n)).tolist()  # and the newlines
     pieces = [""] * (2 * len(texts) + 1)
     pieces[0::2] = [stack[i + 1:j] for i, j in zip([-1, *starts], [*starts, len(stack)])]
     pieces[1::2] = texts
@@ -190,21 +183,29 @@ def operator_from_json_dict(doc: Any) -> tuple[HermitianOp, dict]:
     return _operator(space, _numeric_array(doc["re"], doc["im"], (n, n)), doc.get("meta"))
 
 
-# The writer's layouts, read without parsing every zero entry: an operator file
-# {"dims": [..], "re": P, "im": P, "meta": M} and a map table
-# {"d_in": D, "d_out": E, "images": [{"re": P, "im": P}, ...]}, each P a matrix in
-# json.dumps's separators.
+# The writer's layouts: an operator file {"dims": [..], "re": P, "im": P, "meta": M} and a
+# map table {"d_in": D, "d_out": E, "images": [{"re": P, "im": P}, ...]}, each P a matrix
+# in json.dumps's separators.
 _WRITER_HEAD = re.compile(r'\{"dims": \[([1-9][0-9]{0,8}(?:, [1-9][0-9]{0,8})*)\], "re": ')
 _MAP_HEAD = re.compile(r'\{"d_in": ([1-9][0-9]{0,8}), "d_out": ([1-9][0-9]{0,8}), '
                        r'"images": \[\{"re": ')
 _IM_KEY, _NEXT_PAIR = ', "im": ', '}, {"re": '  # the keys of a pair, and between pairs
 _NUMBER_BYTES = b"0123456789+-.eE"  # the bytes a JSON number is written with
-_NUMBER_FLAGS = bytes(int(i in _NUMBER_BYTES) for i in range(256))  # bytes.translate table
+_ENTRY_MAX = 24  # the bytes searched for an entry's ends: the writer's longest entry
 
 
 def _zero_text(n: int) -> str:
     """The text json.dumps gives an n x n matrix of int zeros."""
     return "[" + ", ".join(["[" + ", ".join("0" * n) + "]"] * n) + "]"
+
+
+def _entry_offsets(index: np.ndarray, n: int) -> np.ndarray:
+    """Where each flat entry index has its "0" in a stack of _zero_text(n), one after another.
+
+    Entry c of row r is 3c + 1 bytes after the row's "[", at r (3n + 2) + 1.
+    """
+    r, c = np.divmod(index, n)
+    return r * (3 * n + 2) + 3 * c + 2
 
 
 def _writer_pairs(text: str, start: int, n: int, count: int,
@@ -232,70 +233,69 @@ def _writer_pairs(text: str, start: int, n: int, count: int,
         if not text.startswith(key, stop):
             return None
         start = stop + len(key)
-    del zeros  # with it held, glibc places the scan's arrays so that a d = 20 read is ~5 % slower
-    re = _writer_matrices(parts[0::2], n)
+    re = _writer_matrices(parts[0::2], n, zeros)
     if re is not None and any(parts[1::2]):  # no im stack when every im matrix is all zero
-        im = _writer_matrices(parts[1::2], n)
+        im = _writer_matrices(parts[1::2], n, zeros)
         re = None if im is None else _matrix(re, im)
     return None if re is None else (re.reshape(count, n, n), start)
 
 
-def _writer_matrices(parts: list[str | None], n: int) -> np.ndarray | None:
+def _writer_matrices(parts: list[str | None], n: int, zeros: str) -> np.ndarray | None:
     """The entries of the n x n matrices written as parts, one matrix after another, else None.
 
-    A part None is all zero. The others are scanned as one stack, which
-    gives None unless its non-number bytes are exactly the brackets and
-    separators of that many n x n matrices, it holds n * n entries per
-    matrix, each between "[" or " " and "," or "]", and its entries other
-    than "0" come out of one json.loads as a finite int or float array.
+    A part None is all zero; zeros is _zero_text(n). In the others, each run
+    of digits 1-9 (every nonzero number holds one) is widened to the
+    separators around it: the stack is taken if cutting those entries out
+    leaves the zero texts, a "0" for each, and json.loads reads the entries as
+    finite ints or floats. A stack with few zeros is taken if its bytes other
+    than numbers' are the zero texts', and json.loads reads all of it.
     """
     which = [k for k, part in enumerate(parts) if part is not None]
+    entries = np.zeros(len(parts) * n * n)
     if not which:
-        return np.zeros(len(parts) * n * n)
-    raw = "".join([parts[k] for k in which])
-    if not raw.isascii():
+        return entries
+    w = _ENTRY_MAX
+    text = "".join(["]" * w, *[parts[k] for k in which], "]" * w])  # so every window fits
+    if not text.isascii():
         return None
-    raw = raw.encode("ascii")
-    skeleton = b"[[" + b"], [".join([b", " * (n - 1)] * n) + b"]]"
-    if raw[:1] + raw[-1:] != b"[]" or raw.translate(None, _NUMBER_BYTES) != skeleton * len(which):
+    b = np.frombuffer(buf := text.encode("ascii"), dtype=np.uint8)
+    # runs of digits 1-9 over 1-byte gaps (entries are 3+ apart): edges[2i] + 1 .. edges[2i + 1]
+    digit = b - ord("1") < 9
+    digit[1:-1] |= digit[:-2] & digit[2:]
+    edges = (digit[1:] != digit[:-1]).nonzero()[0]
+    if not edges.size:  # no nonzero entry, in a text other than the zero texts
         return None
-    b = np.frombuffer(raw, dtype=np.uint8)
-    number = np.frombuffer(raw.translate(_NUMBER_FLAGS), dtype=bool)
-    # over bytes 1 .. len - 2 (byte 0 is "[", the last "]"): where entries start and end
-    first, last = number[1:-1] & ~number[:-2], number[1:-1] & ~number[2:]
-    closer = (b == ord(",")) | (b == ord("]"))
-    if (np.count_nonzero(first) != len(which) * n * n or (first & closer[:-2]).any()
-            or (last & ~closer[2:]).any()):
-        return None
-    del closer
-    zero = first & last & (b[1:-1] == ord("0"))
-    first &= ~zero
-    last &= ~zero
-    # the other entries' bytes, each followed by its closer: "1,-0.5]2,"
-    keep = np.zeros(len(raw), dtype=bool)
-    keep[1:-1] = number[1:-1] & ~zero
-    keep[2:] |= last
-    kept = b[keep].tobytes()
-    heads, tails = np.flatnonzero(first), np.flatnonzero(last)
-    del b, number, first, last, zero, keep
-    # Entry k = a n + c (0 <= c < n) of the stack begins after 2k + 2a + 2
-    # skeleton bytes, one byte of each earlier entry, and the bytes beyond the
-    # first of the earlier other entries. An other entry that ends at byte
-    # tails + 1 thus has q = 3k + 2a = tails - 1 - (its own bytes beyond the
-    # first and those of the other entries before it); as 3c < 3n + 2,
-    # a = q // (3n + 2) and k = (q - 2a) / 3.
-    q = tails - 1 - np.cumsum(tails - heads)
-    index = (q - q // (3 * n + 2) * 2) // 3
-    del heads, tails, q
+    if len(which) * n * n < 3 * len(edges) + 128:  # parsing the zeros costs less
+        skeleton = zeros.replace("0", "").encode() * len(which)
+        if buf[w:-w].translate(None, _NUMBER_BYTES) != skeleton:  # bytes other than numbers'
+            return None
+        joined, index = ",".join([parts[k] for k in which]), np.arange(len(which) * n * n)
+    else:  # an entry runs from the last separator before a run to the first one after it
+        near = np.ndarray((len(b) - 2 * w + 1, 2 * w), np.uint8, buf, 0, (1, 1))[edges + (1 - w)]
+        near = (near & 51) + 239 < 16  # b & 51 is in 17 .. 32 for " ,[]", not for numbers
+        cuts = edges + 1
+        cuts[0::2] -= near[0::2, w - 1::-1].argmax(1)
+        cuts[1::2] += near[1::2, w:].argmax(1)
+        last = np.concatenate((cuts[3::2] != cuts[1:-1:2], [True]))  # the last run of each entry
+        cuts = cuts.reshape(-1, 2)[last]
+        # invert _entry_offsets at entry j's "0": end - w - 1 - sum of (length - 1) over 0 .. j
+        r, c = np.divmod(cuts[:, 1] - (cuts[:, 1] - cuts[:, 0] - 1).cumsum() - (w + 3), 3 * n + 2)
+        index = r * n + c // 3
+        bounds = [w, *cuts.ravel().tolist(), len(buf) - w]
+        pieces = [text[i:j] for i, j in zip(bounds, bounds[1:])]  # around, entry, around, ...
+        joined = ",".join(pieces[1::2])
+        if ("0".join(pieces[0::2]) != zeros * len(which)
+                or joined.encode().translate(None, _NUMBER_BYTES) != b"," * (len(index) - 1)):
+            return None
     try:
-        values = np.array(json.loads(b"[" + kept[:-1].replace(b"]", b",") + b"]"))
+        values = np.array(json.loads(f"[{joined}]")).reshape(-1)
     except (ValueError, OverflowError):  # not JSON numbers, or an integer out of range
         return None
-    if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+    kind = values.dtype.kind
+    if kind not in "iuf" or kind == "f" and not np.isfinite(values).all():
         return None
-    if which[-1] >= len(which):  # index counts the scanned matrices' entries only
+    if which[-1] >= len(which):  # index counts the read matrices' entries only
         index += (np.array(which) - np.arange(len(which)))[index // (n * n)] * (n * n)
-    entries = np.zeros(len(parts) * n * n)
     entries[index] = values
     return entries
 

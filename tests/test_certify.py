@@ -466,6 +466,20 @@ class TestRevalidate:
         forged = replace(cert, evidence={**cert.evidence, "conv_tol": 1e-9})
         assert not revalidate(forged)
 
+    @pytest.mark.parametrize("kind, edit", [
+        ("ppt", {"sigma": None}),
+        ("blockpos-scan", {"x_re": "a"}),
+        ("blockpos-scan", {"histories": 5}),
+        ("blockpos-scan", {"minimum": "x"}),
+    ], ids=["ppt-sigma-none", "scan-x-re-string", "scan-histories-int", "scan-minimum-string"])
+    def test_wrong_typed_evidence_is_false(self, kind, edit):
+        if kind == "ppt":
+            cert = certify_ppt(ha_state(3, 0.5), (False, True))
+        else:
+            cert = blockpos_scan(violating_candidate(), ScanConfig(restarts=10, seed=2))
+        assert revalidate(cert)
+        assert revalidate(replace(cert, evidence={**cert.evidence, **edit})) is False
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             revalidate(Certificate("nonsense", True, {}))

@@ -575,6 +575,16 @@ BAD_ENTRY_TEXTS = ["", "01", "00", "1.", ".5", "+1", "-", "1e5e5", "true", "NaN"
 #: floats above 2**53, and ordinary ones.
 WRITER_VALUES = [-0.0, 5e-324, 2.5e-310, 2.0**53 + 2, 2.0**63, 2.0**64, 1e300, -1.5, 1e-5, 3.0]
 METAS = ["{}", '{"note": true}', '{"note": "false"}', '{"x": [1.5, null]}']
+#: Entry texts planted in a sparse part: the writer's forms (one or more runs of digits
+#: 1-9, up to its longest entry), then texts it never writes, some not one JSON number.
+WRITER_FORMS = ["1", "-1", "0.5", "-0.0001", "-2.5e-07", "1e+300", "9007199254740993",
+                "1.0000000000000002", "-2.2250738585072014e-308", "5e-324", "1000000000000000"]
+PLANTED_TEXTS = WRITER_FORMS + ["-0", "0.0", "0e5", "1e-400", "00", "", "1 ", "1" * 40, "2,5"]
+#: Where entries are planted in a sparse n x n part: first and last entry, a row's
+#: start and end, the rows before and after it, and one inside.
+SPARSE_N = 64
+PLANTED_SPOTS = [(0, 0), (SPARSE_N - 1, SPARSE_N - 1), (5, 0), (5, SPARSE_N - 1),
+                 (4, SPARSE_N - 1), (6, 0), (40, 17)]
 
 
 def _matrix_text(rows) -> str:
@@ -620,6 +630,15 @@ def _mutated(data, text: str) -> str:
     key = data.draw(st.sampled_from([', "meta": {}', ', "im": [[0]]', ', "x": 1']))
     close = text.rindex("}")
     return text[:close] + key + text[close:]
+
+
+def _planted_rows(data, spots) -> tuple[list, bool]:
+    """SPARSE_N x SPARSE_N entry texts, "0" but at spots, and whether those are all writer forms."""
+    rows = [["0"] * SPARSE_N for _ in range(SPARSE_N)]
+    planted = [data.draw(st.sampled_from(PLANTED_TEXTS)) for _ in spots]
+    for (r, c), entry in zip(spots, planted):
+        rows[r][c] = entry
+    return rows, all(entry in WRITER_FORMS for entry in planted)
 
 
 def _read_by_json(path: str):
@@ -720,6 +739,22 @@ class TestWriterLayout:
             text = _mutated(data, text)
         layout = _assert_layout_agrees(tmp_path / "op.json", text)
         if source == "write_operator" and not mutate:
+            assert layout is not None
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_sparse_part_same_bits_as_json_or_none(self, tmp_path, data):
+        spots = data.draw(st.lists(st.sampled_from(PLANTED_SPOTS), min_size=1, unique=True))
+        re_rows, writer = _planted_rows(data, spots)
+        im_rows, im_writer = (_planted_rows(data, spots[:1]) if data.draw(st.booleans())
+                              else ([["0"] * SPARSE_N] * SPARSE_N, True))
+        text = _layout_text([8, 8], re_rows, im_rows, data.draw(st.sampled_from(METAS)))
+        mutate = data.draw(st.booleans())
+        if mutate:
+            text = _mutated(data, text)
+        layout = _assert_layout_agrees(tmp_path / "op.json", text)
+        if writer and im_writer and not mutate:
             assert layout is not None
 
     @pytest.mark.parametrize("make", [
@@ -870,6 +905,25 @@ class TestWriterMapLayout:
         if not mutate and mutation is not None:
             assert layout is None
         if not mutate and mutation is None and written:
+            assert layout is not None
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_sparse_images_same_bits_as_json_or_none(self, tmp_path, data):
+        zero = [["0"] * SPARSE_N] * SPARSE_N
+        images, writer = [], True
+        for _ in range(4):  # each image all zero or sparse, as drawn
+            spots = data.draw(st.lists(st.sampled_from(PLANTED_SPOTS), unique=True))
+            re_rows, ok = _planted_rows(data, spots)
+            images.append((re_rows, zero))
+            writer &= ok
+        text = _map_text(2, SPARSE_N, images)
+        mutate = data.draw(st.booleans())
+        if mutate:
+            text = _mutated(data, text)
+        layout = _assert_map_layout_agrees(tmp_path / "map.json", text)
+        if writer and not mutate:
             assert layout is not None
 
     @pytest.mark.parametrize("mutation", MAP_MUTATIONS)
