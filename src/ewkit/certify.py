@@ -263,10 +263,10 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
         "minimum": summary["minimum"],
         "product_value": float(_product_values(m, x[None], y[None])[0]),
         "cutoff": summary["cutoff"],
-        "restarts": config.restarts,
-        "max_iters": config.max_iters,
+        "restarts": int(config.restarts),  # plain ints, as JSON and revalidate want them
+        "max_iters": int(config.max_iters),
         "conv_tol": SCAN_CONV_TOL,
-        "seed": config.seed,
+        "seed": int(config.seed),
         "best_restart": best_restart,
         "unconverged_restarts": summary["unconverged_restarts"],
         "x_re": [float(v) for v in x.real],
@@ -305,14 +305,25 @@ def _history_summary(histories: list[list[float]], max_iters: int, w_norm: float
     }
 
 
+#: The int and the float evidence fields of a blockpos_scan certificate.
+_SCAN_INTS = ("restarts", "max_iters", "seed", "best_restart", "unconverged_restarts")
+_SCAN_FLOATS = ("minimum", "product_value", "cutoff", "conv_tol", "max_step_increase")
+
 #: The evidence keys of a blockpos_scan certificate.
-_SCAN_KEYS = set("minimum product_value cutoff restarts max_iters conv_tol seed best_restart "
-                 "unconverged_restarts x_re x_im y_re y_im histories max_step_increase".split())
+_SCAN_KEYS = {*_SCAN_INTS, *_SCAN_FLOATS, "x_re", "x_im", "y_re", "y_im", "histories"}
+
+
+def _is_number(value: Any) -> bool:
+    """An int or a float, but not a bool, which Python counts as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _scan_consistent(cert: Certificate) -> bool:
     """The stored product vector's value and the histories back the scan's claims."""
     ev = cert.evidence
+    if not (all(type(ev[key]) is int for key in _SCAN_INTS)
+            and all(_is_number(ev[key]) for key in _SCAN_FLOATS)):
+        return False
     w = cert.operators["witness"]
     x = np.array(ev["x_re"]) + 1j * np.array(ev["x_im"])
     y = np.array(ev["y_re"]) + 1j * np.array(ev["y_im"])
@@ -333,7 +344,7 @@ def _scan_consistent(cert: Certificate) -> bool:
 
 def _matches(stored: Any, fresh: Any, tol: float) -> bool:
     if isinstance(fresh, float):
-        return isinstance(stored, (int, float)) and abs(stored - fresh) <= tol
+        return _is_number(stored) and abs(stored - fresh) <= tol
     if isinstance(fresh, list):
         return isinstance(stored, list) and len(stored) == len(fresh) and all(
             _matches(s, f, tol) for s, f in zip(stored, fresh)

@@ -163,6 +163,10 @@ class TestSchmidtRank:
         with pytest.raises(ValueError, match="unit"):
             schmidt_rank(np.ones(9, dtype=complex), bipartite(3))
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="vector length 8 != space dimension 9"):
+            schmidt_rank(np.ones(8, dtype=complex) / math.sqrt(8), bipartite(3))
+
     def test_rejects_non_bipartite(self):
         with pytest.raises(ValueError, match="bipartite"):
             schmidt_rank(np.ones(8, dtype=complex) / math.sqrt(8), TensorSpace((2, 2, 2)))
@@ -479,6 +483,36 @@ class TestRevalidate:
             cert = blockpos_scan(violating_candidate(), ScanConfig(restarts=10, seed=2))
         assert revalidate(cert)
         assert revalidate(replace(cert, evidence={**cert.evidence, **edit})) is False
+
+    # Each edit keeps the stored value equal to the true one under ==, in the wrong JSON type:
+    # a bool where a float or an int is due, or a float where an int is due.
+    @pytest.mark.parametrize("kind, edit", [
+        ("ppt", {"min_eigenvalue": False}),
+        ("ppt", {"eigenvalues": [False] * 3 + [1 / 9] * 3 + [2 / 9] * 3}),
+        ("blockpos-scan", {"restarts": 4.0}),
+        ("blockpos-scan", {"max_iters": 5.0}),
+        ("blockpos-scan", {"seed": 0.0}),
+        ("blockpos-scan", {"seed": False}),
+        ("blockpos-scan", {"best_restart": 3.0}),
+        ("blockpos-scan", {"unconverged_restarts": 4.0}),
+    ], ids=["ppt-min-false", "ppt-eigenvalues-false", "scan-restarts-float",
+            "scan-max-iters-float", "scan-seed-float", "scan-seed-false",
+            "scan-best-restart-float", "scan-unconverged-float"])
+    def test_equal_value_of_the_wrong_type_is_false(self, kind, edit):
+        if kind == "ppt":
+            cert = certify_ppt(ha_state(3, 1.0), (False, True))
+        else:
+            cert = blockpos_scan(witness_dk(3, 1), ScanConfig(restarts=4, max_iters=5, seed=0))
+        assert revalidate(cert)
+        key, value = next(iter(edit.items()))
+        assert np.allclose(cert.evidence[key], value, rtol=0, atol=1e-9)
+        assert revalidate(replace(cert, evidence={**cert.evidence, **edit})) is False
+
+    def test_scan_configured_with_numpy_ints_stores_ints(self):
+        config = ScanConfig(restarts=np.int64(4), max_iters=np.int64(5), seed=np.int64(0))
+        cert = blockpos_scan(witness_dk(3, 1), config)
+        assert all(type(cert.evidence[key]) is int for key in ("restarts", "max_iters", "seed"))
+        assert revalidate(cert)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -631,6 +631,84 @@ class TestOptionsPerKind:
         assert not (tmp_path / "out.json").exists()
 
 
+# The operands each kind reads, in the order it reads them: map tables through
+# read_map_table, every other file through read_operator.
+READS = {
+    **{("construct", kind): [] for kind in
+       ("witness", "state", "projector-p", "projector-q", "perturbed")},
+    ("bounds", "alpha"): ["w", "rho", "sep"],
+    ("bounds", "lambda"): ["w", "rho", "p"],
+    ("bounds", "mu"): ["w", "rho", "p", "q"],
+    ("certify", "ppt"): ["rho"],
+    ("certify", "indecomposable"): ["w", "rho"],
+    ("certify", "atomic"): ["w", "rho"],
+    ("certify", "blockpos"): ["w"],
+    ("certify", "ccp"): ["w"],
+    ("cj", "to-map"): ["w"],
+    ("cj", "to-witness"): ["map"],
+}
+
+
+class TestReads:
+    """Each command reads exactly its operand files, once each, in a fixed order."""
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        calls = []
+        for reader in ("read_operator", "read_map_table"):
+            original = getattr(cli, reader)
+            monkeypatch.setattr(cli, reader, lambda path, reader=reader, original=original: (
+                calls.append((reader, path)) or original(path)))
+        return calls
+
+    def expected(self, operands, names):
+        return [("read_map_table" if name == "map" else "read_operator", operands[name])
+                for name in names]
+
+    def test_table_covers_every_kind(self):
+        assert set(READS) == set(REQUIRED)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["as-declared", "reversed"])
+    @pytest.mark.parametrize("command, kind", list(REQUIRED), ids=["-".join(c) for c in REQUIRED])
+    def test_kind_reads_its_files_in_order(self, tmp_path, capsys, operands, reads,
+                                           command, kind, reverse):
+        files = {**operands, "out": str(tmp_path / "out.json")}
+        pairs = REQUIRED[command, kind][::-1] if reverse else REQUIRED[command, kind]
+        argv = [command, kind, *(part.format(**files) for pair in pairs for part in pair)]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1), err
+        assert reads == self.expected(operands, READS[command, kind])
+
+    def test_pair_reads_witness_then_state(self, capsys, operands, reads):
+        code, _, _ = run(capsys, "pair", operands["w"], operands["rho"])
+        assert code == 0
+        assert reads == self.expected(operands, ["w", "rho"])
+
+
+# One command per writer, each with its --out under a directory that does not exist.
+UNWRITABLE = {
+    "construct": ["construct", "witness", "--d", "3", "--k", "1", "--out", "{out}"],
+    "sweep": ["sweep", "--d", "3", "--k", "1", "--gamma-grid", "0.5", "--out", "{out}"],
+    "certify": ["certify", "ppt", "-s", "{rho}", "--out", "{out}"],
+    "cj-to-map": ["cj", "to-map", "-w", "{w}", "--out", "{out}"],
+    "cj-to-witness": ["cj", "to-witness", "-m", "{map}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("name", list(UNWRITABLE))
+def test_unwritable_out_exits_3(tmp_path, capsys, operands, name):
+    out = tmp_path / "missing" / "out"
+    code, stdout, err = run(capsys, *(part.format(**operands, out=out)
+                                      for part in UNWRITABLE[name]))
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    if name == "certify":  # the certificate is printed before the file is written
+        assert json.loads(stdout)["kind"] == "ppt"
+    else:
+        assert stdout == ""
+    assert not out.parent.exists()
+
+
 class TestParserReuse:
     """The parser is built once per process; no parse leaks into the next."""
 
@@ -640,6 +718,15 @@ class TestParserReuse:
         run(capsys, "pair", w0_path, w0_path)
         assert build_parser.cache_info().misses == misses
         assert build_parser() is build_parser()
+
+    def test_no_default_is_set_by_both_a_command_and_its_kind(self):
+        # which of the two would win has changed between Python 3.10 releases
+        (commands,) = build_parser()._subparsers._group_actions
+        for name, command in commands.choices.items():
+            for action in command._subparsers._group_actions if command._subparsers else ():
+                for kind in action.choices.values():
+                    assert not command._defaults.keys() & kind._defaults.keys(), name
+                    assert "func" in {*command._defaults, *kind._defaults}, name
 
     def test_seed_reverts_to_default(self, capsys, w0_path):
         seeds = []

@@ -204,6 +204,17 @@ class TestJamiolkowski:
         with pytest.raises(ValueError, match="finite"):
             LinearMapTable.from_images(2, 2, images)
 
+    def test_image_stack_shape_checked(self):
+        # four 2 x 2 images flattened to (2, 8) hold the right count of entries
+        images = np.stack([matrix_unit(2, i, j) for i in range(2) for j in range(2)])
+        with pytest.raises(ValueError, match=r"images must stack to shape \(4, 2, 2\)"):
+            LinearMapTable.from_images(2, 2, images.reshape(2, 8))
+
+    def test_apply_argument_shape_checked(self):
+        # a trailing axis of length 1 would otherwise contract to a (1, 2, 2) stack
+        with pytest.raises(ValueError, match=r"argument shape \(2, 2, 1\) != \(2, 2\)"):
+            identity_map(2).apply(np.eye(2)[:, :, None])
+
     def test_local_dimensions_checked_before_the_gate(self):
         with pytest.raises(ValueError, match=">= 2"):
             LinearMapTable.from_images(1, 2, np.zeros((1, 2, 2)))
@@ -450,6 +461,12 @@ class TestConvexCombination:
             convex_combination([w, w], [1.5, -0.5])
         with pytest.raises(ValueError, match="spaces"):
             convex_combination([w, witness_dk(4, 1)], [0.5, 0.5])
+
+    @pytest.mark.parametrize("count, weights", [(2, [1.0]), (0, [1.0]), (0, [])])
+    def test_one_weight_per_operator_and_at_least_one(self, count, weights):
+        # unchecked, zip would leave the second operator out of [w, w] with [1.0]
+        with pytest.raises(ValueError, match="one weight per operator and at least one"):
+            convex_combination([witness_dk(3, 1)] * count, weights)
 
 
 class TestWitnessFromDifference:

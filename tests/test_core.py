@@ -431,6 +431,15 @@ class TestTracePair:
         with pytest.raises(ValueError, match="spaces differ"):
             trace_pair(a, b)
 
+    def test_imaginary_trace_raises(self):
+        # the gate keeps a non-Hermitian matrix out, so one is planted past it
+        space = bipartite(3)
+        w = HermitianOp(space, np.eye(9, dtype=complex))
+        object.__setattr__(w, "matrix", 1j * np.eye(9))
+        mixed = HermitianOp(space, np.eye(9) / 9)
+        with pytest.raises(ArithmeticError, match=r"imaginary part 1\.000e\+00"):
+            trace_pair(w, mixed)
+
     def test_matches_matmul_trace(self):
         space = bipartite(3)
         w = _random_op(space, 40)

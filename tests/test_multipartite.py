@@ -177,3 +177,7 @@ class TestMultipartitePairValidation:
         assert g.trace() == pytest.approx(1.0, abs=1e-14)
         ok, _ = is_psd(g)
         assert ok
+
+    def test_ghz_projector_needs_two_factors(self):
+        with pytest.raises(ValueError, match="at least two factors"):
+            ghz_projector(1)

@@ -791,6 +791,17 @@ class TestWriterLayout:
         assert not built
         assert "do not match" in capsys.readouterr().err
 
+    def test_non_ascii_character_in_a_part_exits_3(self, tmp_path, capsys):
+        # encoding the part as ASCII would raise UnicodeEncodeError, a ValueError (exit 2)
+        path = tmp_path / "w.json"
+        write_operator(str(path), witness_dk(3, 1))
+        text = path.read_text()
+        assert text.count('"re": [[1, ') == 1
+        path.write_text(text.replace('"re": [[1, ', '"re": [[¹, '), encoding="utf-8")
+        assert main(["pair", str(path), str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not valid JSON" in captured.err
+
 
 def _map_text(d_in: int, d_out: int, images: list, mutation: str | None = None, k: int = 0,
               bad: str = "01") -> str:
