@@ -163,7 +163,7 @@ def schmidt_rank(vec: np.ndarray, space: TensorSpace) -> int:
     if v.size != space.total:
         raise ValueError(f"vector length {v.size} != space dimension {space.total}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
         raise ValueError(f"vector must be unit length, got norm {norm!r}")
     singular = np.linalg.svd(v.reshape(space.dims), compute_uv=False)
     return int(np.count_nonzero(singular > SCHMIDT_SV_RTOL * singular[0]))

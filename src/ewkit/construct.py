@@ -17,8 +17,6 @@ import numpy as np
 from .core import (
     HermitianOp,
     TensorSpace,
-    _NotFiniteError,
-    _hermiticity_bound,
     _real_or_complex,
     _require_psd,
     bipartite,
@@ -80,32 +78,6 @@ class LinearMapTable:
     @property
     def d_out(self) -> int:
         return self.choi.space.dims[1]
-
-    @classmethod
-    def from_images(cls, d_in: int, d_out: int, images) -> "LinearMapTable":
-        """The table with phi(e_ij) = images[i*d_in + j], gated as its Choi operator.
-
-        A real image stack gives a real Choi operator. If the gate rejects,
-        names the first (i, j) with phi(e_ij)^dag != phi(e_ji).
-        """
-        space = TensorSpace((d_in, d_out))
-        units = _real_or_complex(images)
-        shape = (d_in**2, d_out, d_out)
-        if units.shape != shape:
-            raise ValueError(f"images must stack to shape {shape}, got {units.shape}")
-        blocks = units.reshape(d_in, d_in, d_out, d_out)
-        try:
-            choi = HermitianOp(space, blocks.transpose(0, 2, 1, 3).reshape(space.total, -1))
-        except _NotFiniteError:  # an entry, or (M + M^dag)/2, is not finite
-            raise
-        except ValueError:
-            # not Hermitian: some dev[i, j] = max |phi(e_ij)^dag - phi(e_ji)| exceeds the bound
-            dev = np.abs(blocks.conj().transpose(1, 0, 3, 2) - blocks).max(axis=(2, 3))
-            bound = _hermiticity_bound(units)
-            i, j = np.argwhere(dev > bound)[0]
-            raise ValueError(f"map is not Hermiticity preserving at ({i},{j}): "
-                             f"deviation {dev[i, j]:.3e}") from None
-        return cls(choi)
 
     def image(self, i: int, j: int) -> np.ndarray:
         """phi(e_ij) for 0 <= i, j < d_in: a read-only view of block (i, j) of choi."""
@@ -177,17 +149,6 @@ def choi_map(d: int, k: int) -> LinearMapTable:
     of witness_dk(d, k): phi(e_ij) is block (i, j) of the witness.
     """
     return dejamiolkowski(witness_dk(d, k))
-
-
-def identity_map(d: int) -> LinearMapTable:
-    """Tabulated identity map on M_d: phi(e_ij) is unit vector i*d + j, reshaped."""
-    return LinearMapTable.from_images(d, d, np.eye(d * d).reshape(d * d, d, d))
-
-
-def transpose_map(d: int) -> LinearMapTable:
-    """Tabulated transposition map on M_d: the identity's images, each transposed."""
-    units = np.eye(d * d).reshape(d * d, d, d)
-    return LinearMapTable.from_images(d, d, units.transpose(0, 2, 1))
 
 
 def jamiolkowski(table: LinearMapTable) -> HermitianOp:
@@ -266,7 +227,7 @@ def convex_combination(ops: list[HermitianOp], weights: list[float]) -> Hermitia
     """sum_i p_i op_i for nonnegative weights summing to one."""
     if len(ops) != len(weights) or not ops:
         raise ValueError("need one weight per operator and at least one operator")
-    if any(w < 0 for w in weights):
+    if not all(w >= 0 for w in weights):  # a NaN weight fails too
         raise ValueError(f"weights must be nonnegative, got {weights}")
     if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(

@@ -37,7 +37,7 @@ import numpy as np
 
 from .certify import Certificate
 from .construct import LinearMapTable
-from .core import HermitianOp, TensorSpace, _NotFiniteError
+from .core import HermitianOp, TensorSpace, _NotFiniteError, _hermiticity_bound
 from .detect import SweepTable
 
 
@@ -386,22 +386,32 @@ def map_table_from_json_dict(doc: Any) -> LinearMapTable:
     if raw_images:
         images = _numeric_array([entry["re"] for entry in raw_images],
                                 [entry["im"] for entry in raw_images], shape)
-    else:  # d_in = 0: no entries to check; LinearMapTable rejects the dims
+    else:  # d_in = 0: no entries to check; _map_table rejects the dims
         images = np.zeros(shape, dtype=complex)
     return _map_table(d_in, d_out, images)
 
 
 def _map_table(d_in: int, d_out: int, images: np.ndarray) -> LinearMapTable:
-    """The gated table of a document's images.
+    """The gated table with phi(e_ij) = images[i*d_in + j], a float64 or complex128 stack.
 
-    A Hermiticity-preservation violation is an invalid map, not a malformed
-    file, so LinearMapTable's ValueError propagates. A Choi matrix that is
-    not finite fails as the operator file of that matrix fails.
+    The images go into the Choi matrix, gated once. A map that does not
+    preserve Hermiticity is an invalid map, not a malformed file: its
+    ValueError names the first (i, j) with phi(e_ij)^dag != phi(e_ji). A Choi
+    matrix that is not finite fails as the operator file of that matrix fails.
     """
+    space = TensorSpace((d_in, d_out))  # first: d_in of 0 or 1 is an invalid map
+    blocks = images.reshape(d_in, d_in, d_out, d_out)
     try:
-        return LinearMapTable.from_images(d_in, d_out, images)
-    except _NotFiniteError as exc:
+        choi = HermitianOp(space, blocks.transpose(0, 2, 1, 3).reshape(space.total, -1))
+    except _NotFiniteError as exc:  # an entry, or (M + M^dag)/2, is not finite
         raise MalformedFileError(f"matrix fails the Hermiticity gate: {exc}") from exc
+    except ValueError:
+        # not Hermitian: some dev[i, j] = max |phi(e_ij)^dag - phi(e_ji)| exceeds the bound
+        dev = np.abs(blocks.conj().transpose(1, 0, 3, 2) - blocks).max(axis=(2, 3))
+        i, j = np.argwhere(dev > _hermiticity_bound(images))[0]
+        raise ValueError(f"map is not Hermiticity preserving at ({i},{j}): "
+                         f"deviation {dev[i, j]:.3e}") from None
+    return LinearMapTable(choi)
 
 
 def write_map_table(path: str, table: LinearMapTable) -> None:

@@ -4,8 +4,10 @@ These deliberately avoid the code paths under test: partial transposes are
 rebuilt from explicit Kronecker products, the Choi-Jamiolkowski operator
 from one Kronecker product per matrix unit and its inverse from one slice
 per block, the tabulated maps from their formulas applied to one matrix
-unit at a time, thresholds come from brute-force sign scans of traces evaluated
-on explicitly mixed matrices, product minima come from a dense grid over
+unit at a time (the identity and transposition tables from their own Choi
+matrices, vec(I) vec(I)^T and the swap), thresholds come from brute-force
+sign scans of traces evaluated on explicitly mixed matrices, product
+minima come from a dense grid over
 real product vectors, the sweep kernel against a per-gamma loop of exactly
 summed traces, the witness, Ha-state and block-positivity scan kernels
 against their per-block and per-restart loops (the Ha weights from their
@@ -119,6 +121,18 @@ def identity_map_units(d: int) -> np.ndarray:
 def transpose_map_units(d: int) -> np.ndarray:
     """Images e_ji of the transposition map, stacked with phi(e_ij) at i*d + j."""
     return np.array([matrix_unit(d, j, i) for i in range(d) for j in range(d)])
+
+
+def identity_map(d: int) -> LinearMapTable:
+    """The identity map on M_d, from its Choi matrix vec(I) vec(I)^T."""
+    vec = np.eye(d).reshape(-1)
+    return LinearMapTable(HermitianOp(bipartite(d), np.outer(vec, vec)))
+
+
+def transpose_map(d: int) -> LinearMapTable:
+    """The transposition map on M_d, from its Choi matrix: the swap of the two factors."""
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    return LinearMapTable(HermitianOp(bipartite(d), swap))
 
 
 def jamiolkowski_kron_sum(table: LinearMapTable) -> np.ndarray:

@@ -163,6 +163,13 @@ class TestSchmidtRank:
         with pytest.raises(ValueError, match="unit"):
             schmidt_rank(np.ones(9, dtype=complex), bipartite(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_vector(self, bad):
+        # a NaN norm is not within any tolerance of 1; unchecked, the SVD fails to converge
+        vec = np.array([bad, 0, 0, 1.0])
+        with pytest.raises(ValueError, match="vector must be unit length, got norm"):
+            schmidt_rank(vec, bipartite(2))
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="vector length 8 != space dimension 9"):
             schmidt_rank(np.ones(8, dtype=complex) / math.sqrt(8), bipartite(3))

@@ -22,7 +22,6 @@ from ewkit import (
     choi_map,
     dejamiolkowski,
     ha_state,
-    identity_map,
     jamiolkowski,
     perturbed_witness,
     projector_p,
@@ -39,6 +38,7 @@ from ewkit import serialize
 from ewkit.cli import main
 
 from oracles import (
+    identity_map,
     json_texts_per_cell,
     map_images,
     numeric_parts_per_entry,
@@ -443,6 +443,36 @@ class TestMapTableRoundTrip:
         assert not isinstance(info.value, MalformedFileError)
         assert main(["cj", "to-witness", "-m", path, "--out", str(tmp_path / "w.json")]) == 2
 
+    @pytest.mark.parametrize("d_in, d_out", [(1, 2), (2, 1)])
+    def test_unit_local_dimension_is_an_invalid_map_checked_before_the_gate(self, tmp_path,
+                                                                           d_in, d_out):
+        images = np.zeros((d_in * d_in, d_out, d_out))
+        images[d_in - 1, 0, -1] = 1.0  # not Hermiticity preserving: the gate would reject it
+        path = _write_doc(tmp_path / "map.json", _map_doc(images))
+        with pytest.raises(ValueError, match=rf"must be >= 2, got \({d_in}, {d_out}\)") as info:
+            read_map_table(path)
+        assert not isinstance(info.value, MalformedFileError)
+        assert main(["cj", "to-witness", "-m", path, "--out", str(tmp_path / "w.json")]) == 2
+
+    @pytest.mark.parametrize("unit", [1.0, 1j])
+    def test_non_preserving_map_names_its_first_unit_and_exits_2(self, tmp_path, capsys, unit):
+        images = np.eye(9).reshape(9, 3, 3) + 0j
+        # phi(e_01) = unit e_01 and phi(e_10) = conj(unit) e_10: Hermiticity preserving
+        images[1] *= unit
+        images[3] *= np.conj(unit)
+        images[5] *= 2  # phi(e_12)^dag != phi(e_21), and the reverse
+        path = _write_doc(tmp_path / "map.json", _map_doc(images))
+        message = "map is not Hermiticity preserving at (1,2): deviation 1.000e+00"
+        with pytest.raises(ValueError) as info:
+            read_map_table(path)
+        assert str(info.value) == message and not isinstance(info.value, MalformedFileError)
+        out = tmp_path / "w.json"
+        assert main(["cj", "to-witness", "-m", path, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    # the overflow of 1e308 in the Choi gate's (M + M^dag) / 2 raises no warning
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", BAD_MAP_DOCS)
     def test_bad_document_rejected_and_to_witness_exits_3(self, tmp_path, capsys, name):
         doc, message = BAD_MAP_DOCS[name]

@@ -20,7 +20,6 @@ from ewkit import (
     dejamiolkowski,
     ghz_projector,
     ha_state,
-    identity_map,
     maximally_mixed,
     partial_transpose,
     perturbed_witness,
@@ -31,14 +30,13 @@ from ewkit import (
     read_operator,
     tensor_op,
     trace_pair,
-    transpose_map,
     witness_dk,
     write_map_table,
     write_operator,
 )
 from ewkit.construct import max_entangled_projector
 
-from oracles import random_hermitian
+from oracles import identity_map, random_hermitian, transpose_map
 
 BUILDERS = {
     "witness_dk": lambda: witness_dk(4, 2),
@@ -51,8 +49,6 @@ BUILDERS = {
     "max_entangled_projector": lambda: max_entangled_projector(3),
     "ghz_projector": lambda: ghz_projector(3, 2),
     "choi_map": lambda: choi_map(3, 1).choi,
-    "identity_map": lambda: identity_map(3).choi,
-    "transpose_map": lambda: transpose_map(3).choi,
 }
 
 
