@@ -11,6 +11,7 @@ recorded assumption.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
@@ -80,6 +81,12 @@ class ScanConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "max_iters", "seed"):  # plain ints, as JSON and revalidate want
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError as exc:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from exc
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
         if self.seed < 0:
@@ -263,10 +270,10 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
         "minimum": summary["minimum"],
         "product_value": float(_product_values(m, x[None], y[None])[0]),
         "cutoff": summary["cutoff"],
-        "restarts": int(config.restarts),  # plain ints, as JSON and revalidate want them
-        "max_iters": int(config.max_iters),
+        "restarts": config.restarts,
+        "max_iters": config.max_iters,
         "conv_tol": SCAN_CONV_TOL,
-        "seed": int(config.seed),
+        "seed": config.seed,
         "best_restart": best_restart,
         "unconverged_restarts": summary["unconverged_restarts"],
         "x_re": [float(v) for v in x.real],

@@ -10,6 +10,7 @@ unit trace.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ class LinearMapTable:
 
     def image(self, i: int, j: int) -> np.ndarray:
         """phi(e_ij) for 0 <= i, j < d_in: a read-only view of block (i, j) of choi."""
+        try:
+            i, j = operator.index(i), operator.index(j)  # not a numpy mask or slice
+        except TypeError as exc:
+            raise ValueError(f"matrix unit ({i},{j}) needs integer indices") from exc
         if not (0 <= i < self.d_in and 0 <= j < self.d_in):
             raise ValueError(f"matrix unit ({i},{j}) out of range for d_in={self.d_in}")
         return self._blocks()[i, :, j, :]

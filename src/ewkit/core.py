@@ -218,6 +218,9 @@ def _default_sigma(space: TensorSpace) -> SigmaVector:
 
 
 def _validate_sigma(space: TensorSpace, sigma: Sequence[bool]) -> SigmaVector:
+    for b in sigma:
+        if b not in (0, 1):  # a bit, not a truth value: "0", 2 and 0.5 are refused
+            raise ValueError(f"sigma bits must be 0 or 1, got {b!r}")
     bits = tuple(bool(b) for b in sigma)
     if len(bits) != space.nparts:
         raise ValueError(

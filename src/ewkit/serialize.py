@@ -14,10 +14,10 @@ write leaves the file as it was.
 On reading, every re/im entry must be a finite JSON number, and a file's
 text is read once. Text in the writer's own layout (what write_operator,
 write_map_table and json.dumps write, with ", " and "], [" between entries
-and rows) is read as _pair_texts writes it: an all-zero part costs one
-string comparison, and the others are read as one stack whose nonzero
-entries are found by their digits 1-9 and taken if cutting them out leaves
-the zero texts, so a sparse part's zeros are never parsed. Other text (and
+and rows) is read as _pair_texts writes it: the re parts, and the im parts
+unless all are zero, are read as one stack each, whose nonzero entries are
+found by their digits 1-9 and taken if cutting them out leaves the zero
+texts, so a sparse stack's zeros are never parsed. Other text (and
 layout text not taken: that check raises nothing, so each error has one
 message) is parsed by json.loads and its parts go through the per-entry type
 scan; a file that is not UTF-8, not JSON or nested too deeply to parse is
@@ -213,49 +213,42 @@ def _writer_pairs(text: str, start: int, n: int, count: int,
     """_matrix(re, im) of count (re, im) pairs of n x n matrices at text[start:], else None.
 
     A pair is re, _IM_KEY, im; pairs are joined by _NEXT_PAIR, and end follows the last.
-    Returns the (count, n, n) stack with where end ends. An all-zero matrix costs one string
-    comparison; if every im matrix is all zero, the float64 re stack is returned, no im built.
+    Returns the (count, n, n) stack with where end ends. An all-zero matrix's part is zeros
+    itself, not a copy; if every im part is zeros, the float64 re stack is returned, no im built.
     """
     if len(text) < 2 * count * (3 * n * n + 2 * n):  # too short for the matrices
         return None
     zeros, parts = _zero_text(n), []
     pairs = chain.from_iterable(repeat((_IM_KEY, _NEXT_PAIR), count - 1))
     for key in chain(pairs, (_IM_KEY, end)):  # the key after each matrix, made as it goes
-        if text.startswith(zeros, start):
-            stop = start + len(zeros)
-            parts.append(None)
-        else:
-            # the shortest n x n matrix is as long as zeros; a shorter one is not in the layout
-            stop = text.find("]]", start + len(zeros) - 2) + 2
-            if stop < 2:
-                return None
-            parts.append(text[start:stop])
+        # the shortest n x n matrix is as long as zeros; a shorter one is not in the layout
+        stop = text.find("]]", start + len(zeros) - 2) + 2
+        if stop < 2:
+            return None
+        parts.append(zeros if text.startswith(zeros, start) else text[start:stop])
         if not text.startswith(key, stop):
             return None
         start = stop + len(key)
     re = _writer_matrices(parts[0::2], n, zeros)
-    if re is not None and any(parts[1::2]):  # no im stack when every im matrix is all zero
+    if re is not None and any(part != zeros for part in parts[1::2]):  # else no im stack
         im = _writer_matrices(parts[1::2], n, zeros)
         re = None if im is None else _matrix(re, im)
     return None if re is None else (re.reshape(count, n, n), start)
 
 
-def _writer_matrices(parts: list[str | None], n: int, zeros: str) -> np.ndarray | None:
+def _writer_matrices(parts: list[str], n: int, zeros: str) -> np.ndarray | None:
     """The entries of the n x n matrices written as parts, one matrix after another, else None.
 
-    A part None is all zero; zeros is _zero_text(n). In the others, each run
-    of digits 1-9 (every nonzero number holds one) is widened to the
-    separators around it: the stack is taken if cutting those entries out
-    leaves the zero texts, a "0" for each, and json.loads reads the entries as
-    finite ints or floats. A stack with few zeros is taken if its bytes other
-    than numbers' are the zero texts', and json.loads reads all of it.
+    zeros is _zero_text(n). Each run of digits 1-9 (every nonzero number holds
+    one) is widened to the separators around it: the stack is taken if cutting
+    those entries out leaves the zero texts, a "0" for each, and json.loads reads
+    the entries as finite ints or floats; with no run, if every part is zeros. A
+    stack with few zeros is taken if its bytes other than numbers' are the zero
+    texts', and json.loads reads all of it.
     """
-    which = [k for k, part in enumerate(parts) if part is not None]
     entries = np.zeros(len(parts) * n * n)
-    if not which:
-        return entries
     w = _ENTRY_MAX
-    text = "".join(["]" * w, *[parts[k] for k in which], "]" * w])  # so every window fits
+    text = "".join(["]" * w, *parts, "]" * w])  # so every window fits
     if not text.isascii():
         return None
     b = np.frombuffer(buf := text.encode("ascii"), dtype=np.uint8)
@@ -263,13 +256,13 @@ def _writer_matrices(parts: list[str | None], n: int, zeros: str) -> np.ndarray 
     digit = b - ord("1") < 9
     digit[1:-1] |= digit[:-2] & digit[2:]
     edges = (digit[1:] != digit[:-1]).nonzero()[0]
-    if not edges.size:  # no nonzero entry, in a text other than the zero texts
-        return None
-    if len(which) * n * n < 3 * len(edges) + 128:  # parsing the zeros costs less
-        skeleton = zeros.replace("0", "").encode() * len(which)
+    if not edges.size:  # no nonzero entry: all zero, or a zero spelled otherwise
+        return entries if all(part == zeros for part in parts) else None
+    if len(parts) * n * n < 3 * len(edges) + 128:  # parsing the zeros costs less
+        skeleton = zeros.replace("0", "").encode() * len(parts)
         if buf[w:-w].translate(None, _NUMBER_BYTES) != skeleton:  # bytes other than numbers'
             return None
-        joined, index = ",".join([parts[k] for k in which]), np.arange(len(which) * n * n)
+        joined, index = ",".join(parts), np.arange(len(parts) * n * n)
     else:  # an entry runs from the last separator before a run to the first one after it
         near = np.ndarray((len(b) - 2 * w + 1, 2 * w), np.uint8, buf, 0, (1, 1))[edges + (1 - w)]
         near = (near & 51) + 239 < 16  # b & 51 is in 17 .. 32 for " ,[]", not for numbers
@@ -284,7 +277,7 @@ def _writer_matrices(parts: list[str | None], n: int, zeros: str) -> np.ndarray 
         bounds = [w, *cuts.ravel().tolist(), len(buf) - w]
         pieces = [text[i:j] for i, j in zip(bounds, bounds[1:])]  # around, entry, around, ...
         joined = ",".join(pieces[1::2])
-        if ("0".join(pieces[0::2]) != zeros * len(which)
+        if ("0".join(pieces[0::2]) != zeros * len(parts)
                 or joined.encode().translate(None, _NUMBER_BYTES) != b"," * (len(index) - 1)):
             return None
     try:
@@ -294,8 +287,6 @@ def _writer_matrices(parts: list[str | None], n: int, zeros: str) -> np.ndarray 
     kind = values.dtype.kind
     if kind not in "iuf" or kind == "f" and not np.isfinite(values).all():
         return None
-    if which[-1] >= len(which):  # index counts the read matrices' entries only
-        index += (np.array(which) - np.arange(len(which)))[index // (n * n)] * (n * n)
     entries[index] = values
     return entries
 

@@ -62,6 +62,26 @@ class TestCertifyPpt:
         assert len(cert.evidence["eigenvalues"]) == 9
         assert cert.evidence["sigma"] == [0, 1]
 
+    @pytest.mark.parametrize("sigma, shown", [
+        (("0", "1"), "'0'"), ((0, 2), "2"), ((0.5, 0), "0.5"), ((None, 1), "None"),
+    ])
+    def test_sigma_entries_must_be_bits(self, sigma, shown):
+        # read by truth value, ("0", "1") would transpose both factors: a PPT verdict for
+        # the maximally entangled state
+        rho = max_entangled_projector(3)
+        calls = (lambda: partial_transpose(rho, sigma), lambda: certify_ppt(rho, sigma),
+                 lambda: certify_indecomposable(witness_dk(3, 1), rho, sigma))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^sigma bits must be 0 or 1, got {shown}$"):
+                call()
+
+    def test_sigma_bits_may_be_bools_or_integers(self):
+        expected = certify_ppt(max_entangled_projector(3), (False, True))
+        for sigma in ((0, 1), (np.int64(0), np.int64(1)), np.array([False, True]), [0.0, 1.0]):
+            cert = certify_ppt(max_entangled_projector(3), sigma)
+            assert cert.verdict is expected.verdict is False
+            assert cert.evidence == expected.evidence
+
 
 class TestCertifyDetection:
     def test_detected_pair(self):
@@ -280,6 +300,17 @@ class TestBlockposScan:
             ScanConfig(restarts=0)
         with pytest.raises(ValueError):
             ScanConfig(seed=-1)
+
+    @pytest.mark.parametrize("value", [2.5, 1e3, "3", None])
+    @pytest.mark.parametrize("name", ["restarts", "max_iters", "seed"])
+    def test_config_fields_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            ScanConfig(**{name: value})
+
+    def test_config_stores_plain_ints(self):
+        config = ScanConfig(restarts=np.int64(4), max_iters=np.int32(5), seed=np.uint8(3))
+        assert (config.restarts, config.max_iters, config.seed) == (4, 5, 3)
+        assert {type(config.restarts), type(config.max_iters), type(config.seed)} == {int}
 
 
 def _scan_equivalence_cases():

@@ -200,6 +200,15 @@ class TestJamiolkowski:
             with pytest.raises(ValueError, match="out of range"):
                 table.image(i, j)
 
+    def test_image_indices_must_be_integers(self):
+        # numpy would read True as a mask, giving a (1, 3, 3, 3) array, and 0.5 as an IndexError
+        table = choi_map(3, 1)
+        assert table.image(True, np.int64(0)).shape == (3, 3)
+        assert np.array_equal(table.image(True, 0), table.image(1, 0))
+        for i, j in ((0.5, 0), (0, 1.0), ("1", 0), (None, 0), (slice(None), 0)):
+            with pytest.raises(ValueError, match="needs integer indices"):
+                table.image(i, j)
+
 
 class TestDejamiolkowski:
     def test_table_holds_the_operator_itself(self):

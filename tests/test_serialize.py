@@ -913,6 +913,13 @@ def _assert_map_layout_agrees(path, text: str):
 MAP_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
 
+def _table_with_some_zero_im_images():
+    """A complex 3 -> 8 table: im images 0-3 and 5-8 are all zero, and re images 1-3 and 5-7."""
+    choi = np.diag(np.arange(1.0, 25.0)).astype(complex)
+    choi[9, 10], choi[10, 9] = 2j, -2j  # in block (1, 1), image 4
+    return LinearMapTable(HermitianOp(TensorSpace((3, 8)), choi))
+
+
 class TestWriterMapLayout:
     """Map-table files in the writer's layout are read by the operator files' part scan."""
 
@@ -989,8 +996,11 @@ class TestWriterMapLayout:
         lambda: LinearMapTable(HermitianOp(TensorSpace((3, 2)), np.arange(36.0).reshape(6, 6)
                                            + np.arange(36.0).reshape(6, 6).T)),
         lambda: choi_map(12, 1), lambda: choi_map(20, 1),
+        # images 1-3 and 5-7 all zero, between nonzero ones
+        lambda: LinearMapTable(HermitianOp(bipartite(3), np.diag(np.arange(1.0, 10.0)))),
+        _table_with_some_zero_im_images,
     ], ids=["choi", "identity", "complex", "complex_2_to_3", "real_3_to_2", "choi_d12",
-            "choi_d20"])
+            "choi_d20", "zero_images_between", "zero_im_images_first_and_last"])
     def test_writer_map_files_skip_json_loads(self, tmp_path, monkeypatch, make):
         path, table = str(tmp_path / "map.json"), make()
         write_map_table(path, table)
