@@ -176,15 +176,32 @@ def schmidt_rank(vec: np.ndarray, space: TensorSpace) -> int:
     return int(np.count_nonzero(singular > SCHMIDT_SV_RTOL * singular[0]))
 
 
-def _haar_product_start(
-    seed: int, restart: int, d1: int, d2: int
+def _haar_product_starts(
+    seed: int, restarts: int, d1: int, d2: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Seeding from (seed, restart) keeps restarts reproducible and
-    # order-independent.
-    rng = np.random.default_rng([seed, restart])
-    x = rng.standard_normal(d1) + 1j * rng.standard_normal(d1)
-    y = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
-    return x / np.linalg.norm(x), y / np.linalg.norm(y)
+    """The unit start vectors of every restart, as a (restarts, d1) and a (restarts, d2) stack.
+
+    Restart r takes the first 2(d1 + d2) normals a, b, c, d of
+    default_rng([seed, r]) (d1, d1, d2 and d2 of them) and starts from
+    x = a + ib and y = c + id, each over its norm. Seeding from (seed, r)
+    keeps restarts reproducible and independent of how many there are.
+    """
+    normals = np.array([
+        np.random.default_rng([seed, r]).standard_normal(2 * (d1 + d2)) for r in range(restarts)
+    ])
+    a, b, c, d = np.split(normals, [d1, 2 * d1, 2 * d1 + d2], axis=1)
+    return _unit_rows(a + 1j * b), _unit_rows(c + 1j * d)
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of v over its norm, which is summed as np.linalg.norm sums a complex vector's.
+
+    That is sqrt(re.dot(re) + im.dot(im)): the stacked matmul of a row with a
+    column runs the same dot kernel, so each row comes out as it would alone.
+    """
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    squares = re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)
+    return v / np.sqrt(squares[:, 0])
 
 
 def _product_values(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -225,7 +242,9 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
     stacked outer products of the restarts still running in one matmul and
     solves their eigenproblems in one batched eigh. A restart leaves the
     stack once its last step passed _step_converged; those still running
-    after max_iters steps are counted as unconverged.
+    after max_iters steps are counted as unconverged. Each step records its
+    x and y values as two columns across all restarts, NaN for those that
+    stopped; the histories are cut from these columns once the scan ends.
 
     Verdict True means no product state |xy><xy| (of Frobenius norm 1) that
     W detects was found (heuristic pass); False exhibits a violating product
@@ -243,27 +262,27 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
     wy = w4.transpose(1, 3, 0, 2).reshape(d2 * d2, d1 * d1)
     wx = w4.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
 
-    starts = [
-        _haar_product_start(config.seed, r, d1, d2) for r in range(config.restarts)
-    ]
-    xs = np.array([x for x, _ in starts])
-    ys = np.array([y for _, y in starts])
-    last = _product_values(m, xs, ys)
-    histories = [[v] for v in last.tolist()]
+    xs, ys = _haar_product_starts(config.seed, config.restarts, d1, d2)
+    # column 2j holds each restart's value after j steps, 2j - 1 its x half-step's; NaN once stopped
+    columns = [_product_values(m, xs, ys)]
+    steps = np.zeros(config.restarts, dtype=int)
     active = np.arange(config.restarts)
     for _ in range(config.max_iters):
         val_x, x = _half_step(ys[active], wy, d1)
         val_y, y = _half_step(x, wx, d2)
         xs[active], ys[active] = x, y
-        for r, vx, vy in zip(active.tolist(), val_x.tolist(), val_y.tolist()):
-            histories[r] += (vx, vy)
-        converged = _step_converged(last[active], val_y, w_norm)
-        last[active] = val_y
+        converged = _step_converged(columns[-1][active], val_y, w_norm)
+        for values in (val_x, val_y):
+            columns.append(np.full(config.restarts, np.nan))
+            columns[-1][active] = values
+        steps[active] += 1
         active = active[~converged]
         if not active.size:
             break
 
-    summary = _history_summary(histories, config.max_iters, w_norm)
+    table = np.array(columns).T
+    histories = [row[: 2 * k + 1] for row, k in zip(table.tolist(), steps.tolist())]
+    summary = _history_summary(table, steps, config.max_iters, w_norm)
     best_restart = summary["best_restart"]
     x, y = xs[best_restart], ys[best_restart]
     evidence = {
@@ -276,10 +295,10 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
         "seed": config.seed,
         "best_restart": best_restart,
         "unconverged_restarts": summary["unconverged_restarts"],
-        "x_re": [float(v) for v in x.real],
-        "x_im": [float(v) for v in x.imag],
-        "y_re": [float(v) for v in y.real],
-        "y_im": [float(v) for v in y.imag],
+        "x_re": x.real.tolist(),
+        "x_im": x.imag.tolist(),
+        "y_re": y.real.tolist(),
+        "y_im": y.imag.tolist(),
         "histories": histories,
         "max_step_increase": summary["max_step_increase"],
     }
@@ -291,23 +310,27 @@ def blockpos_scan(w: HermitianOp, config: ScanConfig = ScanConfig()) -> Certific
     )
 
 
-def _history_summary(histories: list[list[float]], max_iters: int, w_norm: float) -> dict:
-    """The scan evidence that follows from the per-restart objective histories and ||W||_F.
+def _history_summary(
+    table: np.ndarray, steps: np.ndarray, max_iters: int, w_norm: float
+) -> dict:
+    """The scan evidence that follows from the objective histories and ||W||_F.
 
-    The best restart is the first with the lowest final value. A restart is
+    Row r of table is restart r's history, its start value and then the x
+    and y values of each of its steps[r] steps, padded with NaN. The best
+    restart is the first with the lowest final value. A restart is
     unconverged when it took max_iters steps and its last step still failed
     _step_converged. The cutoff is the detection threshold of unit product states.
     """
-    finals = [h[-1] for h in histories]
+    rows = np.arange(len(table))
+    finals = table[rows, 2 * steps]
     best = int(np.argmin(finals))
+    last_converged = _step_converged(table[rows, 2 * steps - 2], finals, w_norm)
+    increases = np.diff(table, axis=1)[np.arange(table.shape[1] - 1) < 2 * steps[:, None]]
     return {
-        "minimum": finals[best],
+        "minimum": float(finals[best]),
         "best_restart": best,
-        "unconverged_restarts": sum(
-            (len(h) - 1) // 2 == max_iters and not _step_converged(h[-3], h[-1], w_norm)
-            for h in histories
-        ),
-        "max_step_increase": float(max(np.diff(h).max() for h in histories)),
+        "unconverged_restarts": int(np.count_nonzero((steps == max_iters) & ~last_converged)),
+        "max_step_increase": float(increases.max()),
         "cutoff": detection_threshold(w_norm, 1.0),
     }
 
@@ -325,24 +348,42 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float_list(value: Any) -> bool:
+    return type(value) is list and all(type(v) is float for v in value)
+
+
 def _scan_consistent(cert: Certificate) -> bool:
     """The stored product vector's value and the histories back the scan's claims."""
     ev = cert.evidence
+    histories = ev["histories"]
+    vectors = [ev[key] for key in ("x_re", "x_im", "y_re", "y_im")]
     if not (all(type(ev[key]) is int for key in _SCAN_INTS)
-            and all(_is_number(ev[key]) for key in _SCAN_FLOATS)):
+            and all(_is_number(ev[key]) for key in _SCAN_FLOATS)
+            and type(histories) is list and len(histories) == ev["restarts"]
+            and all(map(_float_list, [*vectors, *histories]))):
         return False
     w = cert.operators["witness"]
+    w_norm = w.norm()
     x = np.array(ev["x_re"]) + 1j * np.array(ev["x_im"])
     y = np.array(ev["y_re"]) + 1j * np.array(ev["y_im"])
     value = float(_product_values(w.matrix, x[None], y[None])[0])
-    histories = ev["histories"]
-    # every restart takes at least one step: its start value, then x and y
-    if len(histories) != ev["restarts"] or min(map(len, histories), default=0) < 3:
+    # each history is the start value, then the x and the y value of 1 to max_iters steps
+    lengths = np.array([len(h) for h in histories])
+    steps = (lengths - 1) // 2
+    if np.any(lengths % 2 == 0) or steps.min() < 1 or steps.max() > ev["max_iters"]:
         return False
-    summary = _history_summary(histories, ev["max_iters"], w.norm())
+    table = np.full((len(histories), lengths.max()), np.nan)
+    for row, history in zip(table, histories):
+        row[: len(history)] = history
+    # a restart stops at its first step that passes _step_converged, or after max_iters steps
+    passed = _step_converged(table[:, :-2:2], table[:, 2::2], w_norm)
+    last = passed[np.arange(len(table)), steps - 1]
+    if not np.all((passed.sum(axis=1) == last) & (last | (steps == ev["max_iters"]))):
+        return False
+    summary = _history_summary(table, steps, ev["max_iters"], w_norm)
     return (
         abs(value - ev["product_value"]) <= REVALIDATE_TOL["product_value"]
-        and abs(ev["minimum"] - value) <= REVALIDATE_TOL["minimum"] * w.norm()
+        and abs(ev["minimum"] - value) <= REVALIDATE_TOL["minimum"] * w_norm
         and ev["conv_tol"] == SCAN_CONV_TOL
         and (value >= summary["cutoff"]) == cert.verdict
         and all(ev[key] == summary[key] for key in summary)
@@ -366,10 +407,13 @@ def revalidate(cert: Certificate) -> bool:
     same; ints, strings and lists must be equal and floats within
     REVALIDATE_TOL. A blockpos scan is not re-run: the value of its stored
     product vector is recomputed, and its minimum, best restart, convergence
-    count and step increase must follow from its histories. Evidence its
-    producer or these checks cannot run on (no sigma, a sigma of another
-    length, no assumption, a value of the wrong type) gives False; only an
-    unknown kind raises.
+    count and step increase must follow from its histories. Each history
+    must hold 2k + 1 floats for some 1 <= k <= max_iters steps, and only its
+    last step may pass _step_converged, which it must when k < max_iters;
+    the vector entries must be floats too. Evidence its producer or these
+    checks cannot run on (no sigma, a sigma of another length, no
+    assumption, a value of the wrong type) gives False; only an unknown
+    kind raises.
     """
     ops, ev = cert.operators, cert.evidence
     if cert.kind not in ("ppt", "ccp", "detection", "atomic-conditional", "indecomposable",

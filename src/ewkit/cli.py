@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -45,7 +44,7 @@ from .detect import (
 )
 from .serialize import (
     MalformedFileError,
-    certificate_to_json_dict,
+    certificate_text,
     read_map_table,
     read_operator,
     write_map_table,
@@ -162,7 +161,7 @@ def _scan(args: argparse.Namespace) -> Certificate:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     cert = args.certify(args)
-    text = json.dumps(certificate_to_json_dict(cert), indent=2)
+    text = certificate_text(cert)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

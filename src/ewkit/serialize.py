@@ -436,6 +436,43 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
     }
 
 
+def certificate_text(cert: Certificate) -> str:
+    """The printed certificate: json.dumps(certificate_to_json_dict(cert), indent=2), exactly."""
+    return _indented(certificate_to_json_dict(cert), "")
+
+
+def _indented(value: Any, indent: str) -> str:
+    """json.dumps(value, indent=2) of a value nested at indent, which starts its later lines.
+
+    json's indented encoder is pure Python, so a list whose items are all
+    exactly int or float (a history, a vector, a spectrum) is encoded by one
+    C-encoder json.dumps instead, and its ", " separators, which no JSON
+    number contains, become the indented line breaks.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{_key_text(key)}: {_indented(item, inner)}" for key, item in value.items()]
+    elif isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) <= _JSON_NUMBERS:
+            items = [json.dumps(value)[1:-1].replace(", ", ",\n" + inner)]
+        else:
+            items = [_indented(item, inner) for item in value]
+    else:  # a scalar, {} or []
+        return json.dumps(value)
+    ends = "{}" if isinstance(value, dict) else "[]"
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as json.dumps writes it: a str quoted; an int, float, bool or None as its
+    JSON text, quoted; any other key raises TypeError."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
 def _sweep_csv_chunks(table: SweepTable) -> Iterator[str]:
     """The header line, then the rows of each gamma as one chunk."""
     lams, mus = ([repr(float(v)) for v in grid] for grid in (table.lams, table.mus))

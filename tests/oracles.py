@@ -36,7 +36,7 @@ from ewkit import (
     projector_q,
     witness_dk,
 )
-from ewkit.certify import SCAN_CONV_TOL, _haar_product_start
+from ewkit.certify import SCAN_CONV_TOL
 from ewkit.core import DETECTION_RTOL
 from ewkit.detect import SweepTable
 from ewkit.serialize import MalformedFileError
@@ -492,6 +492,16 @@ def sweep_rows_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def haar_product_start(
+    seed: int, restart: int, d1: int, d2: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One restart's unit start vectors, drawn by four calls on default_rng([seed, restart])."""
+    rng = np.random.default_rng([seed, restart])
+    x = rng.standard_normal(d1) + 1j * rng.standard_normal(d1)
+    y = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
+    return x / np.linalg.norm(x), y / np.linalg.norm(y)
+
+
 def blockpos_scan_serial(w: HermitianOp, config: ScanConfig) -> dict:
     """The block-positivity seesaw one restart at a time, one einsum per contraction.
 
@@ -512,7 +522,7 @@ def blockpos_scan_serial(w: HermitianOp, config: ScanConfig) -> dict:
 
     histories = []
     for restart in range(config.restarts):
-        x, y = _haar_product_start(config.seed, restart, d1, d2)
+        x, y = haar_product_start(config.seed, restart, d1, d2)
         history = [value(x, y)]
         for _ in range(config.max_iters):
             val_x, x = min_eigvec(np.einsum("j,ijkl,l->ik", y.conj(), w4, y))

@@ -1,6 +1,8 @@
 """Certificates: PPT, indecomposability, conditional atomicity, scan."""
 
+import copy
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -32,11 +34,17 @@ from ewkit import (
     witness_dk,
     witness_from_difference,
 )
-from ewkit.certify import SCAN_CONV_TOL
+from ewkit.certify import SCAN_CONV_TOL, _haar_product_starts
 
-from oracles import blockpos_scan_serial, product_grid_minimum, random_hermitian
+from oracles import (
+    blockpos_scan_serial,
+    haar_product_start,
+    product_grid_minimum,
+    random_hermitian,
+)
 
 GAMMA_STAR = math.sqrt((math.sqrt(3.0) - 1.0) / 2.0)
+EYE_2X2 = HermitianOp(bipartite(2), np.eye(4))  # every product value is 1
 
 
 class TestCertifyPpt:
@@ -295,6 +303,21 @@ class TestBlockposScan:
             )
             assert evidence["unconverged_restarts"] == recount
 
+    def test_history_columns_grow_by_steps_taken(self):
+        # histories are kept per step taken, never laid out for max_iters steps
+        cert = blockpos_scan(EYE_2X2, ScanConfig(restarts=3, max_iters=10**12))
+        assert [len(h) for h in cert.evidence["histories"]] == [3, 3, 3]
+        assert revalidate(cert)
+
+    def test_histories_are_lists_of_python_floats(self):
+        # the JSON writer and bench/tracing.py read them as plain lists
+        for op in (EYE_2X2, witness_dk(3, 1), violating_candidate()):
+            histories = blockpos_scan(op, ScanConfig(restarts=10, max_iters=30)).evidence[
+                "histories"]
+            assert type(histories) is list and len(histories) == 10
+            for history in histories:
+                assert type(history) is list and {type(v) for v in history} == {float}
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScanConfig(restarts=0)
@@ -311,6 +334,18 @@ class TestBlockposScan:
         config = ScanConfig(restarts=np.int64(4), max_iters=np.int32(5), seed=np.uint8(3))
         assert (config.restarts, config.max_iters, config.seed) == (4, 5, 3)
         assert {type(config.restarts), type(config.max_iters), type(config.seed)} == {int}
+
+
+class TestHaarProductStarts:
+    @pytest.mark.parametrize("restarts", [1, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 4242, 2**31 - 1, 2**63])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (3, 4), (4, 3), (8, 8)])
+    def test_stacked_starts_equal_serial_draws(self, dims, seed, restarts):
+        xs, ys = _haar_product_starts(seed, restarts, *dims)
+        assert xs.shape == (restarts, dims[0]) and ys.shape == (restarts, dims[1])
+        for r in range(restarts):
+            x, y = haar_product_start(seed, r, *dims)
+            assert np.array_equal(xs[r], x) and np.array_equal(ys[r], y)
 
 
 def _scan_equivalence_cases():
@@ -493,6 +528,38 @@ class TestRevalidate:
         assert cert.evidence["best_restart"] != 1
         forged = replace(cert, evidence={**cert.evidence, **edit})
         assert not revalidate(forged)
+
+    # Each forgery keeps every value the parent's checks recomputed: the final
+    # values, the minimum, the step increases and the product value.
+    @pytest.mark.parametrize("forge", [
+        lambda ev: ev["histories"][0].append(ev["histories"][0][-1]),
+        lambda ev: ev["histories"][0].extend([1.0, 1.0]),
+        lambda ev: ev["histories"][0].__setitem__(0, True),
+        lambda ev: ev["x_re"].__setitem__(0, True),
+    ], ids=["even-length", "steps-after-convergence", "true-in-history", "true-in-x_re"])
+    def test_forged_blockpos_history_rejected(self, forge):
+        cert = blockpos_scan(EYE_2X2, ScanConfig(restarts=3, max_iters=5))
+        assert cert.evidence["histories"][0][0] == cert.evidence["histories"][0][-1] == 1.0
+        assert cert.evidence["x_re"][0] == 1.0
+        evidence = copy.deepcopy(cert.evidence)
+        forge(evidence)
+        assert revalidate(cert) and revalidate(replace(cert, evidence=evidence)) is False
+
+    def test_history_cut_before_convergence_rejected(self):
+        cert = blockpos_scan(witness_dk(3, 1), ScanConfig(restarts=10, max_iters=30))
+        ev = cert.evidence
+        # restart 0 stopped on convergence before max_iters steps, and is not the best
+        assert ev["best_restart"] != 0 and len(ev["histories"][0]) < 61
+        cut = [ev["histories"][0][:-2], *ev["histories"][1:]]
+        assert revalidate(cert)
+        assert revalidate(replace(cert, evidence={**ev, "histories": cut})) is False
+
+    def test_nan_histories_are_false_without_warnings(self):
+        cert = blockpos_scan(EYE_2X2, ScanConfig(restarts=3, max_iters=1))
+        forged = replace(cert, evidence={**cert.evidence, "histories": [[math.nan] * 3] * 3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert revalidate(forged) is False
 
     def test_forged_blockpos_cutoff_rejected(self):
         # the violating value -1/3 clears a lowered cutoff

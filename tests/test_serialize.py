@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ewkit import (
+    HA_SCHMIDT_ASSUMPTION,
+    Certificate,
     HermitianOp,
     LinearMapTable,
     MalformedFileError,
@@ -18,6 +21,9 @@ from ewkit import (
     bipartite,
     blockpos_scan,
     certificate_to_json_dict,
+    certify_atomic_conditional,
+    certify_detection,
+    certify_indecomposable,
     certify_ppt,
     choi_map,
     dejamiolkowski,
@@ -35,6 +41,7 @@ from ewkit import (
     write_sweep_csv,
 )
 from ewkit import serialize
+from ewkit.serialize import certificate_text
 from ewkit.cli import main
 
 from oracles import (
@@ -1121,6 +1128,28 @@ class TestSweepCsv:
         assert_sweep_matches_oracle(d, k, gammas, lams, mus)
 
 
+# numbers the C encoder writes in every form: signed zero, subnormal, non-finite,
+# integral floats, ints beyond 2**53 and 2**64
+_NUMBERS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf, 1e16, 2**53 + 1, 2**64]),
+)
+# non-ASCII text (outside the BMP too), control characters, quotes, backslashes, and
+# the ", " the number lists' separators are found by
+_TEXTS = st.text(max_size=8) | st.sampled_from(["1, 2", "\u00e9\U0001f642", "\x00\n\"\\"])
+_KEYS = st.one_of(_TEXTS, st.integers(-5, 5), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, _TEXTS,
+              st.lists(_NUMBERS, max_size=6),  # the lists encoded in one call
+              st.lists(st.one_of(_NUMBERS, st.booleans()), max_size=6)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),  # written as lists
+                               st.dictionaries(_KEYS, children, max_size=4)),
+    max_leaves=20,
+)
+
+
 class TestCertificateJson:
     def test_envelope_keys(self):
         cert = certify_ppt(ha_state(3, 0.5), (False, True))
@@ -1146,3 +1175,31 @@ class TestCertificateJson:
             isinstance(v, float) and math.isnan(v) for v in parsed["evidence"].values()
             if not isinstance(v, list)
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=_TEXTS, verdict=st.booleans(), evidence=st.dictionaries(_KEYS, _JSON_VALUES),
+           assumptions=st.lists(_TEXTS, max_size=2))
+    def test_text_is_indented_json_dumps(self, kind, verdict, evidence, assumptions):
+        cert = Certificate(kind, verdict, evidence, tuple(assumptions))
+        assert certificate_text(cert) == json.dumps(certificate_to_json_dict(cert), indent=2)
+
+    def test_text_of_each_kind_is_indented_json_dumps(self):
+        w0, rho = witness_dk(3, 1), ha_state(3, 0.5)
+        certs = [
+            certify_ppt(rho, (False, True)),
+            replace(certify_ppt(witness_dk(3, 2), (False, True)), kind="ccp"),
+            certify_detection(w0, rho),
+            certify_indecomposable(w0, rho, (False, True)),
+            certify_atomic_conditional(w0, rho, HA_SCHMIDT_ASSUMPTION),
+            blockpos_scan(w0, ScanConfig(restarts=6, max_iters=30, seed=3)),
+        ]
+        for cert in certs:
+            assert certificate_text(cert) == json.dumps(certificate_to_json_dict(cert), indent=2)
+
+    def test_key_json_cannot_write_raises_like_json_dumps(self):
+        cert = Certificate("ppt", True, {(1, 2): 0.5})
+        message = "keys must be str, int, float, bool or None, not tuple"
+        with pytest.raises(TypeError, match=message):
+            json.dumps(certificate_to_json_dict(cert), indent=2)
+        with pytest.raises(TypeError, match=message):
+            certificate_text(cert)
