@@ -32,12 +32,12 @@ def main():
     for i in range(3):
         diag = np.diag(table.image(i, i)).real.astype(int)
         print(f"    phi(e_{i}{i}) has diagonal {diag}")
-    assembled = ek.jamiolkowski(table)
+    assembled = table.choi
     print("  assembled operator equals the direct construction:",
           np.array_equal(assembled.matrix, w0.matrix))
 
     print("\nGoing the other way, the witness decomposes into its map table:")
-    recovered = ek.dejamiolkowski(w0)
+    recovered = ek.LinearMapTable(w0)
     print("  phi(e_01) =")
     print(recovered.image(0, 1).real.astype(int))
 

@@ -9,7 +9,6 @@ evidence. The sigma-PPT machinery generalizes everything to N parties.
 
 from .core import (
     HermitianOp,
-    Spectrum,
     TensorSpace,
     bipartite,
     is_psd,
@@ -21,10 +20,8 @@ from .construct import (
     LinearMapTable,
     choi_map,
     convex_combination,
-    dejamiolkowski,
     ghz_projector,
     ha_state,
-    jamiolkowski,
     max_entangled_projector,
     maximally_mixed,
     perturbed_witness,
@@ -75,7 +72,6 @@ __all__ = [
     "LinearMapTable",
     "MalformedFileError",
     "ScanConfig",
-    "Spectrum",
     "TensorSpace",
     "alpha_threshold",
     "bipartite",
@@ -88,11 +84,9 @@ __all__ = [
     "chain_pair",
     "choi_map",
     "convex_combination",
-    "dejamiolkowski",
     "ghz_projector",
     "ha_state",
     "is_psd",
-    "jamiolkowski",
     "lambda_threshold",
     "max_entangled_projector",
     "maximally_mixed",

@@ -18,8 +18,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from .core import (
+    DETECTION_RTOL,
+    PSD_RTOL,
     HermitianOp,
     TensorSpace,
+    _psd_tolerance,
     detection_threshold,
     is_psd,
     partial_transpose,
@@ -31,8 +34,8 @@ SCAN_CONV_TOL = 1e-12
 
 #: Largest distance revalidate() accepts between a stored evidence float and
 #: the value its producer recomputes, by evidence key ("default" for the
-#: traces and every key not named). Lists are compared entry by entry, and a
-#: blockpos "minimum" with its recomputed product value relative to ||W||_F.
+#: traces and every key not named), relative to the key's scale (_SCALE_OF).
+#: Lists are compared entry by entry.
 REVALIDATE_TOL: dict[str, float] = {
     "default": 1e-12,
     "min_eigenvalue": 1e-9,
@@ -40,6 +43,19 @@ REVALIDATE_TOL: dict[str, float] = {
     "eigenvalues": 1e-9,
     "product_value": 1e-10,
     "minimum": 1e-10,
+}
+
+#: A key's scale is the magnitude of another fresh evidence float over a factor:
+#: ||W||_F ||rho||_F for a trace, max|eig| for an eigenvalue, ||W||_F for a scan's
+#: values. Every key not named is relative to its own fresh magnitude; a scan's
+#: "minimum" must equal its histories' exactly (_scan_recomputed).
+_SCALE_OF: dict[str, tuple[str, float]] = {
+    "trace": ("trace_threshold", DETECTION_RTOL),
+    "min_eigenvalue": ("tolerance", PSD_RTOL),
+    "eigenvalues": ("tolerance", PSD_RTOL),
+    "ppt_min_eigenvalue": ("ppt_tolerance", PSD_RTOL),
+    "product_value": ("cutoff", DETECTION_RTOL),
+    "max_step_increase": ("cutoff", DETECTION_RTOL),
 }
 
 #: schmidt_rank counts singular values above this fraction of the largest.
@@ -100,11 +116,11 @@ def _sigma_bits(sigma: Sequence[bool]) -> list[int]:
 def certify_ppt(rho: HermitianOp, sigma: Sequence[bool]) -> Certificate:
     """Positivity of the partial transpose, with the spectrum as evidence."""
     pt = partial_transpose(rho, sigma)
-    ok, spectrum = is_psd(pt)
+    ok, eigenvalues = is_psd(pt)
     evidence = {
-        "min_eigenvalue": spectrum.min,
-        "eigenvalues": [float(x) for x in spectrum.eigenvalues],
-        "tolerance": spectrum.psd_tolerance,
+        "min_eigenvalue": float(eigenvalues[0]),
+        "eigenvalues": eigenvalues.tolist(),
+        "tolerance": _psd_tolerance(eigenvalues),
         "sigma": _sigma_bits(sigma),
     }
     return Certificate("ppt", ok, evidence, operators={"rho": rho})
@@ -352,8 +368,14 @@ def _float_list(value: Any) -> bool:
     return type(value) is list and all(type(v) is float for v in value)
 
 
-def _scan_consistent(cert: Certificate) -> bool:
-    """The stored product vector's value and the histories back the scan's claims."""
+def _scan_recomputed(cert: Certificate) -> Certificate | None:
+    """The scan's verdict and evidence as its stored product vector and histories give them.
+
+    None when a value has the wrong type, when the histories are not ones a
+    scan records, when the stored minimum is not exactly theirs, or when
+    theirs lies farther than REVALIDATE_TOL["minimum"] ||W||_F from the
+    stored vector's value.
+    """
     ev = cert.evidence
     histories = ev["histories"]
     vectors = [ev[key] for key in ("x_re", "x_im", "y_re", "y_im")]
@@ -361,7 +383,7 @@ def _scan_consistent(cert: Certificate) -> bool:
             and all(_is_number(ev[key]) for key in _SCAN_FLOATS)
             and type(histories) is list and len(histories) == ev["restarts"]
             and all(map(_float_list, [*vectors, *histories]))):
-        return False
+        return None
     w = cert.operators["witness"]
     w_norm = w.norm()
     x = np.array(ev["x_re"]) + 1j * np.array(ev["x_im"])
@@ -371,7 +393,7 @@ def _scan_consistent(cert: Certificate) -> bool:
     lengths = np.array([len(h) for h in histories])
     steps = (lengths - 1) // 2
     if np.any(lengths % 2 == 0) or steps.min() < 1 or steps.max() > ev["max_iters"]:
-        return False
+        return None
     table = np.full((len(histories), lengths.max()), np.nan)
     for row, history in zip(table, histories):
         row[: len(history)] = history
@@ -379,15 +401,34 @@ def _scan_consistent(cert: Certificate) -> bool:
     passed = _step_converged(table[:, :-2:2], table[:, 2::2], w_norm)
     last = passed[np.arange(len(table)), steps - 1]
     if not np.all((passed.sum(axis=1) == last) & (last | (steps == ev["max_iters"]))):
-        return False
+        return None
     summary = _history_summary(table, steps, ev["max_iters"], w_norm)
-    return (
-        abs(value - ev["product_value"]) <= REVALIDATE_TOL["product_value"]
-        and abs(ev["minimum"] - value) <= REVALIDATE_TOL["minimum"] * w_norm
-        and ev["conv_tol"] == SCAN_CONV_TOL
-        and (value >= summary["cutoff"]) == cert.verdict
-        and all(ev[key] == summary[key] for key in summary)
-    )
+    # the minimum bears the verdict, so no slack: the histories give it exactly
+    if (ev["minimum"] != summary["minimum"]
+            or not abs(summary["minimum"] - value) <= REVALIDATE_TOL["minimum"] * w_norm):
+        return None
+    evidence = {**summary, "product_value": value, "conv_tol": SCAN_CONV_TOL}
+    return Certificate(cert.kind, value >= summary["cutoff"], evidence)
+
+
+def _allowed_distance(key: str, fresh: dict[str, Any]) -> float:
+    """REVALIDATE_TOL's entry for key times its scale in fresh; 0 for ints and int lists."""
+    scale_key, factor = _SCALE_OF.get(key, (key, 1.0))
+    scale = fresh[scale_key]
+    tol = REVALIDATE_TOL.get(key, REVALIDATE_TOL["default"])
+    return tol * abs(scale) / factor if type(scale) is float else 0.0
+
+
+def _stated_verdict(kind: str, ev: dict[str, Any]) -> bool:
+    """The verdict the stored evidence gives by its producer's own rule."""
+    if kind in ("ppt", "ccp"):
+        return ev["min_eigenvalue"] >= -ev["tolerance"]
+    if kind == "blockpos-scan":
+        return ev["minimum"] >= ev["cutoff"]
+    detected = ev["trace"] < ev["trace_threshold"]
+    if kind == "indecomposable":
+        return detected and ev["ppt_min_eigenvalue"] >= -ev["ppt_tolerance"]
+    return detected
 
 
 def _matches(stored: Any, fresh: Any, tol: float) -> bool:
@@ -405,15 +446,20 @@ def revalidate(cert: Certificate) -> bool:
 
     The verdict, the assumptions and the evidence keys must come out the
     same; ints, strings and lists must be equal and floats within
-    REVALIDATE_TOL. A blockpos scan is not re-run: the value of its stored
-    product vector is recomputed, and its minimum, best restart, convergence
-    count and step increase must follow from its histories. Each history
-    must hold 2k + 1 floats for some 1 <= k <= max_iters steps, and only its
-    last step may pass _step_converged, which it must when k < max_iters;
-    the vector entries must be floats too. Evidence its producer or these
-    checks cannot run on (no sigma, a sigma of another length, no
-    assumption, a value of the wrong type) gives False; only an unknown
-    kind raises.
+    REVALIDATE_TOL times their scale (_SCALE_OF), so that neither scaling
+    W nor a last-bit difference in a recomputation changes the outcome.
+    The stored evidence must also give the stored verdict by its producer's
+    rule (min_eigenvalue >= -tolerance, trace < trace_threshold, a scan's
+    minimum >= cutoff), so no float can cross its threshold within that
+    slack. A blockpos scan is not re-run: the value of its stored product
+    vector is recomputed, and its minimum, best restart, convergence count
+    and step increase must follow from its histories, the minimum exactly.
+    Each history must hold 2k + 1 floats for some 1 <= k <= max_iters
+    steps, and only its last step may pass _step_converged, which it must
+    when k < max_iters; the vector entries must be floats too. Evidence its
+    producer or these checks cannot run on (no sigma, a sigma of another
+    length, no assumption, a value of the wrong type) gives False; only an
+    unknown kind raises.
     """
     ops, ev = cert.operators, cert.evidence
     if cert.kind not in ("ppt", "ccp", "detection", "atomic-conditional", "indecomposable",
@@ -421,8 +467,10 @@ def revalidate(cert: Certificate) -> bool:
         raise ValueError(f"unknown certificate kind {cert.kind!r}")
     try:
         if cert.kind == "blockpos-scan":
-            return ev.keys() == _SCAN_KEYS and _scan_consistent(cert)
-        if cert.kind in ("ppt", "ccp"):
+            fresh = _scan_recomputed(cert)
+            if fresh is None:
+                return False
+        elif cert.kind in ("ppt", "ccp"):
             fresh = certify_ppt(ops["rho"], ev["sigma"])
         elif cert.kind == "detection":
             fresh = certify_detection(ops["witness"], ops["rho"])
@@ -432,12 +480,14 @@ def revalidate(cert: Certificate) -> bool:
             fresh = certify_indecomposable(ops["witness"], ops["rho"], ev["sigma"])
     except (LookupError, TypeError, ValueError):  # evidence missing, or of the wrong type
         return False
+    keys = _SCAN_KEYS if cert.kind == "blockpos-scan" else fresh.evidence.keys()
     return (
         fresh.verdict == cert.verdict
         and fresh.assumptions == cert.assumptions
-        and ev.keys() == fresh.evidence.keys()
+        and ev.keys() == keys
         and all(
-            _matches(ev[key], value, REVALIDATE_TOL.get(key, REVALIDATE_TOL["default"]))
+            _matches(ev[key], value, _allowed_distance(key, fresh.evidence))
             for key, value in fresh.evidence.items()
         )
+        and _stated_verdict(cert.kind, ev) == cert.verdict
     )

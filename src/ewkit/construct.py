@@ -153,7 +153,7 @@ def choi_map(d: int, k: int) -> LinearMapTable:
     unnormalized Choi map. The table is the inverse Choi-Jamiolkowski image
     of witness_dk(d, k): phi(e_ij) is block (i, j) of the witness.
     """
-    return dejamiolkowski(witness_dk(d, k))
+    return LinearMapTable(witness_dk(d, k))
 
 
 def jamiolkowski(table: LinearMapTable) -> HermitianOp:

@@ -18,7 +18,7 @@ import numpy as np
 #: Relative gate for accepting a matrix as Hermitian (symmetrized on entry).
 HERMITICITY_RTOL = 1e-12
 
-#: Relative floor for positive-semidefiniteness verdicts (Spectrum.psd_tolerance).
+#: Relative floor for positive-semidefiniteness verdicts (_psd_tolerance).
 PSD_RTOL = 1e-10
 
 #: Largest tolerated imaginary part of Tr(W rho) for Hermitian W, rho, over ||W||_F ||rho||_F.
@@ -182,30 +182,6 @@ def _scaled_norm(m: np.ndarray) -> float:
     return s * float(np.linalg.norm(m / s)) if s else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues of a Hermitian operator, ascending; evidence for PSD checks.
-
-    Compares and hashes by identity, like HermitianOp.
-    """
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self) -> None:
-        eigs = np.array(self.eigenvalues, dtype=float)
-        eigs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", eigs)
-
-    @property
-    def min(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def psd_tolerance(self) -> float:
-        """How far below zero a PSD spectrum may reach: PSD_RTOL * max |eig|."""
-        return PSD_RTOL * float(np.abs(self.eigenvalues).max())
-
-
 def tensor_op(a: HermitianOp, b: HermitianOp) -> HermitianOp:
     """Tensor product of two operators on the concatenated space."""
     space = TensorSpace(a.space.dims + b.space.dims)
@@ -308,33 +284,41 @@ def _block_eigenvalues(m: np.ndarray) -> np.ndarray | None:
     return np.sort(np.concatenate(eigs))
 
 
-def is_psd(op: HermitianOp) -> tuple[bool, Spectrum]:
+def _psd_tolerance(eigenvalues: np.ndarray) -> float:
+    """How far below zero a PSD spectrum may reach: PSD_RTOL * max|eig|."""
+    return PSD_RTOL * float(np.abs(eigenvalues).max())
+
+
+def is_psd(op: HermitianOp) -> tuple[bool, np.ndarray]:
     """Positive-semidefiniteness verdict with the full spectrum as evidence.
 
-    True iff the smallest eigenvalue is >= -Spectrum.psd_tolerance. A real
-    operator (every witness and state the paper builds), or a complex one
-    whose imaginary part is all zero, is solved in real arithmetic; any
-    other by the complex solver. A matrix of dimension 100 or more whose
-    nonzero pattern is sparse (at most half the entries nonzero) and splits
-    into blocks, as W_{d,k}, the Ha states, P, Q and their partial
-    transposes do, is solved block by block: the spectrum is the union of
-    the blocks' spectra, sorted ascending, equal to the whole solve's to
-    rounding. Every other matrix is solved whole. Eigensolver failures
-    propagate as numpy.linalg.LinAlgError rather than being folded into a
-    False verdict.
+    Returns (ok, eigenvalues): eigenvalues is the solver's float64 array,
+    ascending and marked read-only (not copied), and ok is True iff its
+    first entry is >= -_psd_tolerance(eigenvalues). A real operator (every
+    witness and state the paper builds), or a complex one whose imaginary
+    part is all zero, is solved in real arithmetic; any other by the
+    complex solver. A matrix of dimension 100 or more whose nonzero pattern
+    is sparse (at most half the entries nonzero) and splits into blocks, as
+    W_{d,k}, the Ha states, P, Q and their partial transposes do, is solved
+    block by block: the spectrum is the union of the blocks' spectra,
+    sorted ascending, equal to the whole solve's to rounding. Every other
+    matrix is solved whole. Eigensolver failures propagate as
+    numpy.linalg.LinAlgError rather than being folded into a False verdict.
     """
     m = op.matrix
     if np.iscomplexobj(m) and not m.imag.any():
         m = m.real
     eigs = _block_eigenvalues(m) if len(m) >= _BLOCK_SOLVE_MIN_DIM else None
-    spectrum = Spectrum(np.linalg.eigvalsh(m) if eigs is None else eigs)
-    return spectrum.min >= -spectrum.psd_tolerance, spectrum
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(m)
+    eigs.setflags(write=False)
+    return float(eigs[0]) >= -_psd_tolerance(eigs), eigs
 
 
-def _require_psd(name: str, ok: bool, spectrum: Spectrum) -> None:
+def _require_psd(name: str, ok: bool, eigenvalues: np.ndarray) -> None:
     """Raise ValueError naming the operator unless ok: _require_psd(name, *is_psd(op))."""
     if not ok:
-        raise ValueError(f"{name} must be PSD; min eigenvalue {spectrum.min:.3e}")
+        raise ValueError(f"{name} must be PSD; min eigenvalue {eigenvalues[0]:.3e}")
 
 
 def trace_pair(w: HermitianOp, rho: HermitianOp) -> float:

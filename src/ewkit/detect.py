@@ -151,11 +151,11 @@ def _sample_sppt(
         rho = convex_combination([rho0, sigma_sep], [1.0 - alpha, alpha])
         if trace_pair(w, rho) >= detection_threshold(w.norm(), rho.norm()):
             raise ArithmeticError(f"sampled state at alpha={alpha!r} is not detected")
-        ok, spectrum = is_psd(partial_transpose(rho, bits))
+        ok, eigenvalues = is_psd(partial_transpose(rho, bits))
         if not ok:
             raise ArithmeticError(
                 f"sampled state at alpha={alpha!r} is not PPT "
-                f"(min eigenvalue {spectrum.min:.3e})"
+                f"(min eigenvalue {eigenvalues[0]:.3e})"
             )
         out.append(rho)
     return out

@@ -34,7 +34,7 @@ from ewkit import (
     witness_dk,
     witness_from_difference,
 )
-from ewkit.certify import SCAN_CONV_TOL, _haar_product_starts
+from ewkit.certify import REVALIDATE_TOL, SCAN_CONV_TOL, _haar_product_starts
 
 from oracles import (
     blockpos_scan_serial,
@@ -622,3 +622,73 @@ class TestRevalidate:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             revalidate(Certificate("nonsense", True, {}))
+
+
+def _edited(cert: Certificate, **evidence) -> Certificate:
+    return replace(cert, evidence={**cert.evidence, **evidence})
+
+
+class TestRevalidateIsRelative:
+    """revalidate's tolerances scale with the certificate's own operators, not absolute."""
+
+    def test_negated_trace_of_a_tiny_witness_rejected(self):
+        cert = certify_detection(1e-12 * witness_dk(3, 1), ha_state(3, 0.5))
+        assert revalidate(cert)
+        assert not revalidate(_edited(cert, trace=-cert.evidence["trace"]))
+
+    def test_zero_trace_threshold_of_a_tiny_witness_rejected(self):
+        cert = certify_detection(1e-12 * witness_dk(3, 1), ha_state(3, 0.5))
+        assert not revalidate(_edited(cert, trace_threshold=0.0))
+
+    def test_zero_psd_tolerance_rejected(self):
+        cert = certify_ppt(ha_state(20, 0.5), (0, 1))
+        assert cert.verdict and revalidate(cert)
+        assert not revalidate(_edited(cert, tolerance=0.0))
+
+    def test_min_eigenvalue_below_minus_tolerance_rejected(self):
+        # -5e-10 lies below -tolerance, so it contradicts the verdict True
+        cert = certify_ppt(ha_state(20, 0.5), (0, 1))
+        assert cert.verdict and -5e-10 < -cert.evidence["tolerance"]
+        assert not revalidate(_edited(cert, min_eigenvalue=-5e-10))
+
+    def test_negated_product_value_of_a_tiny_witness_rejected(self):
+        w = 1e-12 * (maximally_mixed(bipartite(3)) * 3.0 - 2 * max_entangled_projector(3))
+        cert = blockpos_scan(w, ScanConfig(5, 50, 1))
+        assert not cert.verdict and revalidate(cert)
+        assert not revalidate(_edited(cert, product_value=-cert.evidence["product_value"]))
+
+    def test_trace_one_ulp_off_at_a_large_scale_revalidates(self):
+        cert = certify_detection(1e6 * witness_dk(3, 1), ha_state(3, 0.5))
+        moved = float(np.nextafter(cert.evidence["trace"], np.inf))
+        assert moved != cert.evidence["trace"]
+        assert revalidate(_edited(cert, trace=moved))
+
+
+class TestStoredEvidenceGivesItsVerdict:
+    """Evidence inside revalidate's slack must still give the verdict it is stored with."""
+
+    def test_min_eigenvalue_below_minus_tolerance_rejected(self):
+        cert = certify_ppt(ha_state(20, 0.5), (0, 1))
+        low = -5 * cert.evidence["tolerance"]
+        eigenvalues = [low, *cert.evidence["eigenvalues"][1:]]
+        assert cert.verdict and revalidate(cert)
+        assert not revalidate(_edited(cert, min_eigenvalue=low))
+        assert not revalidate(_edited(cert, min_eigenvalue=low, eigenvalues=eigenvalues))
+
+    def test_trace_moved_across_its_threshold_rejected(self):
+        # shift W_{3,1} by a multiple of I so that Tr(W I/9) is half the threshold
+        mix = maximally_mixed(bipartite(3))
+        w = witness_dk(3, 1) - 9 * trace_pair(witness_dk(3, 1), mix) * mix
+        w = w + 4.5 * certify_detection(w, mix).evidence["trace_threshold"] * mix
+        cert = certify_detection(w, mix)
+        threshold = cert.evidence["trace_threshold"]
+        assert not cert.verdict and threshold < cert.evidence["trace"] < 0 and revalidate(cert)
+        assert not revalidate(_edited(cert, trace=1.2 * threshold))
+
+    def test_scan_minimum_off_its_histories_rejected(self):
+        w = witness_dk(3, 1)
+        cert = blockpos_scan(w, ScanConfig(5, 50, 1))
+        assert cert.verdict and revalidate(cert)
+        low = -0.5 * REVALIDATE_TOL["minimum"] * w.norm()
+        assert low < cert.evidence["cutoff"]
+        assert not revalidate(_edited(cert, minimum=low))

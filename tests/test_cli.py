@@ -568,8 +568,8 @@ MISSING = [
 @pytest.fixture(scope="module")
 def operands(tmp_path_factory):
     from ewkit import (
+        LinearMapTable,
         bipartite,
-        dejamiolkowski,
         ha_state,
         maximally_mixed,
         projector_p,
@@ -585,7 +585,7 @@ def operands(tmp_path_factory):
     write_operator(files["sep"], maximally_mixed(bipartite(3)))
     write_operator(files["p"], projector_p(3))
     write_operator(files["q"], projector_q(3))
-    write_map_table(files["map"], dejamiolkowski(witness_dk(3, 1)))
+    write_map_table(files["map"], LinearMapTable(witness_dk(3, 1)))
     return files
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ewkit import (
     HermitianOp,
-    Spectrum,
     TensorSpace,
     bipartite,
     choi_map,
@@ -142,11 +141,10 @@ class TestIdentitySemantics:
         "make",
         [
             lambda: witness_dk(3, 1),
-            lambda: is_psd(witness_dk(3, 1))[1],
             lambda: choi_map(3, 1),
             lambda: sweep(3, 1, [0.5], [0.0], [0.0]),
         ],
-        ids=["HermitianOp", "Spectrum", "LinearMapTable", "SweepTable"],
+        ids=["HermitianOp", "LinearMapTable", "SweepTable"],
     )
     def test_eq_and_hash_by_identity(self, make):
         a, b = make(), make()
@@ -296,15 +294,15 @@ def test_partial_transpose_involution_and_trace(dims, seed, pattern):
 
 class TestIsPsd:
     def test_identity(self):
-        ok, spectrum = is_psd(HermitianOp(bipartite(2), np.eye(4, dtype=complex)))
+        ok, eigenvalues = is_psd(HermitianOp(bipartite(2), np.eye(4, dtype=complex)))
         assert ok
-        assert np.allclose(spectrum.eigenvalues, np.ones(4))
+        assert np.allclose(eigenvalues, np.ones(4))
 
     def test_negative_diagonal(self):
         m = np.diag([1.0, -0.5, 1.0, 1.0]).astype(complex)
-        ok, spectrum = is_psd(HermitianOp(bipartite(2), m))
+        ok, eigenvalues = is_psd(HermitianOp(bipartite(2), m))
         assert not ok
-        assert spectrum.min == pytest.approx(-0.5, abs=1e-14)
+        assert eigenvalues[0] == pytest.approx(-0.5, abs=1e-14)
 
     def test_matches_diagonal_sign_test(self):
         rng = np.random.default_rng(21)
@@ -317,9 +315,31 @@ class TestIsPsd:
 
     def test_spectrum_sorted(self):
         op = _random_op(bipartite(3), 33)
-        _, spectrum = is_psd(op)
-        assert np.all(np.diff(spectrum.eigenvalues) >= 0)
-        assert isinstance(spectrum, Spectrum)
+        _, eigenvalues = is_psd(op)
+        assert np.all(np.diff(eigenvalues) >= 0)
+        assert type(eigenvalues) is np.ndarray
+
+    @pytest.mark.parametrize("make", [
+        lambda: partial_transpose(ha_state(3, 0.5), (False, True)),
+        lambda: _random_op(bipartite(3), 33),
+        lambda: partial_transpose(witness_dk(20, 1), (False, True)),
+    ], ids=["real", "complex", "blocks-d20"])
+    def test_verdict_is_a_bool_and_eigenvalues_a_read_only_ascending_array(self, make):
+        ok, eigenvalues = is_psd(make())
+        assert type(ok) is bool
+        assert type(eigenvalues) is np.ndarray and eigenvalues.dtype == np.float64
+        assert not eigenvalues.flags.writeable
+        with pytest.raises(ValueError):
+            eigenvalues[0] = 0.0
+        assert np.all(np.diff(eigenvalues) >= 0)
+        assert ok == bool(eigenvalues[0] >= -PSD_RTOL * np.abs(eigenvalues).max())
+
+    def test_eigenvalues_are_the_solvers_array_not_a_copy(self, monkeypatch):
+        solve = np.linalg.eigvalsh
+        solved = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(solve(a)) or solved[-1])
+        _, eigenvalues = is_psd(witness_dk(3, 1))
+        assert eigenvalues is solved[0]
 
 
 #: Every W_{d,k} with d <= 8, and Ha states on both sides of gamma = 1.
@@ -338,10 +358,11 @@ class TestRealSpectrum:
         if flags:
             op = partial_transpose(op, flags)
         assert op.matrix.dtype == np.float64
-        ok, spectrum = is_psd(op)
+        ok, eigenvalues = is_psd(op)
         eigs = np.linalg.eigvalsh(op.matrix.astype(complex))
         assert ok == bool(eigs[0] >= -PSD_RTOL * np.abs(eigs).max())
-        assert np.abs(spectrum.eigenvalues - eigs).max() <= REVALIDATE_TOL["eigenvalues"]
+        bound = REVALIDATE_TOL["eigenvalues"] * np.abs(eigs).max()
+        assert np.abs(eigenvalues - eigs).max() <= bound
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_solver_follows_the_imaginary_part(self, d, monkeypatch):
@@ -350,8 +371,8 @@ class TestRealSpectrum:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: dtypes.append(a.dtype) or solve(a))
         op = _random_op(bipartite(d), 5)
         assert op.matrix.imag.any()
-        _, spectrum = is_psd(op)
-        assert spectrum.eigenvalues.tobytes() == solve(op.matrix).tobytes()
+        _, eigenvalues = is_psd(op)
+        assert eigenvalues.tobytes() == solve(op.matrix).tobytes()
         is_psd(witness_dk(3, 1))
         assert dtypes == [np.dtype(complex), np.dtype(float)]
 
@@ -396,12 +417,12 @@ class TestBlockSpectrum:
     def test_verdict_and_spectrum_match_the_whole_solve(self, data):
         n = data.draw(st.integers(core._BLOCK_SOLVE_MIN_DIM, core._BLOCK_SOLVE_MIN_DIM + 60))
         op = HermitianOp(TensorSpace((n,)), _drawn_matrix(data, n))
-        ok, spectrum = is_psd(op)
+        ok, eigenvalues = is_psd(op)
         eigs = np.linalg.eigvalsh(op.matrix)
         assert ok == bool(eigs[0] >= -PSD_RTOL * np.abs(eigs).max())
-        assert np.all(np.diff(spectrum.eigenvalues) >= 0)
+        assert np.all(np.diff(eigenvalues) >= 0)
         bound = n * np.finfo(float).eps * np.abs(eigs).max()
-        assert np.abs(spectrum.eigenvalues - eigs).max() <= bound
+        assert np.abs(eigenvalues - eigs).max() <= bound
 
     @pytest.mark.parametrize("flags", [None, (False, True)])
     def test_witness_at_d_20_is_solved_in_small_blocks(self, flags, monkeypatch):
@@ -411,11 +432,11 @@ class TestBlockSpectrum:
         op = witness_dk(20, 1)
         if flags:
             op = partial_transpose(op, flags)
-        _, spectrum = is_psd(op)
+        _, eigenvalues = is_psd(op)
         assert shapes and max(shape[-1] for shape in shapes) <= (20 if flags is None else 2)
         eigs = solve(op.matrix)
         bound = 400 * np.finfo(float).eps * np.abs(eigs).max()
-        assert np.abs(spectrum.eigenvalues - eigs).max() <= bound
+        assert np.abs(eigenvalues - eigs).max() <= bound
 
 
 class TestTracePair:

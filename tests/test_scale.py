@@ -11,6 +11,7 @@ import contextlib
 import io
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,31 @@ def same_verdict(kind_of, w, c):
     return kind_of(c * w).verdict == kind_of(w).verdict
 
 
+def one_ulp_up(value):
+    """value with every float in it, in lists and lists of lists too, moved up one ulp."""
+    if type(value) is float:
+        return float(np.nextafter(value, math.inf))
+    if type(value) is list:
+        return [one_ulp_up(v) for v in value]
+    return value
+
+
+def assert_revalidates_relative_to_scale(cert, forgeries):
+    """cert revalidates with every float one ulp off, and not with any of the forged keys."""
+    assert revalidate(replace(cert, evidence={k: one_ulp_up(v) for k, v in cert.evidence.items()}))
+    for key, value in forgeries.items():
+        if key in cert.evidence:
+            assert not revalidate(replace(cert, evidence={**cert.evidence, key: value})), key
+
+
+def forged_tolerances(cert):
+    """A negated nonzero trace, and each detection or PSD tolerance set to 0."""
+    forgeries = dict.fromkeys(("trace_threshold", "tolerance", "ppt_tolerance"), 0.0)
+    if cert.evidence.get("trace"):
+        forgeries["trace"] = -cert.evidence["trace"]
+    return forgeries
+
+
 @settings(max_examples=30, deadline=None)
 @given(c=SCALES, d=DIMS, gamma=GAMMAS)
 def test_certificates_invariant_and_revalidate(c, d, gamma):
@@ -191,9 +217,11 @@ def test_certificates_invariant_and_revalidate(c, d, gamma):
         scaled = produce(c * w)
         assert scaled.verdict == produce(w).verdict
         assert revalidate(scaled)
+        assert_revalidates_relative_to_scale(scaled, forged_tolerances(scaled))
     # the state's own PPT certificate, the state scaled
     ppt = certify_ppt(c * rho, (0, 1))
     assert ppt.verdict == certify_ppt(rho, (0, 1)).verdict and revalidate(ppt)
+    assert_revalidates_relative_to_scale(ppt, forged_tolerances(ppt))
 
 
 @settings(max_examples=30, deadline=None)
@@ -205,6 +233,10 @@ def test_scan_invariant_and_revalidates(c, d, violating, seed):
     cert, scaled = blockpos_scan(w, config), blockpos_scan(c * w, config)
     assert scaled.verdict == cert.verdict == (not violating)
     assert revalidate(scaled)
+    forgeries = {"cutoff": 0.0}
+    if violating:  # a passing scan's product value is round-off, which negating keeps
+        forgeries["product_value"] = -scaled.evidence["product_value"]
+    assert_revalidates_relative_to_scale(scaled, forgeries)
     if math.frexp(c)[0] == 0.5:  # a power of two scales every float exactly
         assert scaled.evidence["histories"] == [
             [c * v for v in h] for h in cert.evidence["histories"]]

@@ -26,9 +26,7 @@ from ewkit import (
     certify_indecomposable,
     certify_ppt,
     choi_map,
-    dejamiolkowski,
     ha_state,
-    jamiolkowski,
     perturbed_witness,
     projector_p,
     projector_q,
@@ -174,7 +172,7 @@ def _accepts(read, path: str) -> bool:
 
 def _nearly_preserving_images(scale: float, nudge: float) -> np.ndarray:
     """The Choi map's images times scale, phi(e_01)[0, 1] moved by scale * nudge."""
-    images = map_images(dejamiolkowski(witness_dk(3, 1))) * scale
+    images = map_images(LinearMapTable(witness_dk(3, 1))) * scale
     images[1, 0, 1] += scale * nudge
     return images
 
@@ -360,7 +358,7 @@ class TestWritersMatchPerEntryCodec:
         kept = op.matrix[1, 3].real, op.matrix[2, 4].imag, op.matrix[6, 7].imag
         assert [np.signbit(kept[0]), np.signbit(kept[1]), kept[2]] == [True, True, 5e-324]
         assert self._same_bytes(tmp_path, write_operator, write_operator_per_entry, op)
-        table = dejamiolkowski(op)
+        table = LinearMapTable(op)
         assert self._same_bytes(tmp_path, write_map_table, write_map_table_per_entry, table)
 
     def test_all_zero_operator_with_negative_zeros(self, tmp_path):
@@ -385,7 +383,7 @@ class TestWritersMatchPerEntryCodec:
     def test_map_tables_with_unequal_dimensions(self, tmp_path, d_in, d_out):
         m = random_hermitian(np.random.default_rng(10 * d_in + d_out), d_in * d_out)
         for matrix in (m, np.round(4 * m)):
-            table = dejamiolkowski(HermitianOp(TensorSpace((d_in, d_out)), matrix))
+            table = LinearMapTable(HermitianOp(TensorSpace((d_in, d_out)), matrix))
             assert (table.d_in, table.d_out) == (d_in, d_out)
             assert self._same_bytes(tmp_path, write_map_table, write_map_table_per_entry, table)
 
@@ -517,7 +515,7 @@ class TestMapTableRoundTrip:
     def test_images_are_the_choi_blocks_bit_for_bit(self, tmp_path):
         images = _nearly_preserving_images(1.0, 1e-14)
         table = read_map_table(_write_doc(tmp_path / "map.json", _map_doc(images)))
-        choi = jamiolkowski(table).matrix
+        choi = table.choi.matrix
         assert not np.array_equal(map_images(table), images)  # the gate symmetrized
         for i in range(3):
             for j in range(3):
@@ -996,7 +994,7 @@ class TestWriterMapLayout:
 
     @pytest.mark.parametrize("make", [
         lambda: choi_map(6, 2), lambda: identity_map(3),
-        lambda: dejamiolkowski(HermitianOp(bipartite(3), random_hermitian(
+        lambda: LinearMapTable(HermitianOp(bipartite(3), random_hermitian(
             np.random.default_rng(3), 9))),
         lambda: LinearMapTable(HermitianOp(TensorSpace((2, 3)), random_hermitian(
             np.random.default_rng(4), 6))),

@@ -17,7 +17,6 @@ from ewkit import (
     bipartite,
     blockpos_scan,
     choi_map,
-    dejamiolkowski,
     ghz_projector,
     ha_state,
     maximally_mixed,
@@ -103,7 +102,7 @@ def test_real_and_complex_operators_give_complex_results():
     assert (w + c).matrix.tobytes() == ((w.matrix + c.matrix + (w.matrix + c.matrix).conj().T)
                                         / 2.0).tobytes()
     table = identity_map(3)
-    assert dejamiolkowski(table.choi + c).choi.matrix.dtype == complex
+    assert LinearMapTable(table.choi + c).choi.matrix.dtype == complex
 
 
 def _complex_op(d: int, seed: int = 0) -> HermitianOp:
@@ -152,7 +151,7 @@ class TestComplexKeepsComplexPath:
 
     def test_map_table_round_trip(self, d, tmp_path):
         op, path = _complex_op(d), str(tmp_path / "map.json")
-        write_map_table(path, dejamiolkowski(op))
+        write_map_table(path, LinearMapTable(op))
         back = read_map_table(path)
         assert back.choi.matrix.dtype == complex
         assert back.choi.matrix.tobytes() == op.matrix.tobytes()
@@ -220,7 +219,7 @@ class TestApplyKeepsARealMapReal:
     @pytest.mark.parametrize("case", ["complex_table", "complex_argument", "both_complex"])
     def test_complex_table_or_argument_gives_complex128(self, case):
         rng = np.random.default_rng(7)
-        table = _real_table(3, 2) if case == "complex_argument" else dejamiolkowski(
+        table = _real_table(3, 2) if case == "complex_argument" else LinearMapTable(
             HermitianOp(TensorSpace((3, 2)), random_hermitian(rng, 6)))
         x = rng.standard_normal((3, 3))
         if case != "complex_table":
